@@ -1,20 +1,9 @@
-// Representation-adaptivity bench: the dense-accumulation kernel and the
-// Accumulator's sparse<->dense promotion machinery.
-//
-// Two sweeps:
-//   kernel face-off   — SPA vs Hash vs DenseAcc one-shot SpKAdd across a
-//                       column-density axis (union fill from sparse to
-//                       saturated). The dense kernel's structural win is
-//                       sorted-by-construction emission (bitmap scan, no
-//                       radix sort), so it should pull ahead of the SPA as
-//                       columns saturate. Bit-identity to Hash is a hard
-//                       gate on every cell.
-//   promotion sweep   — streaming Accumulator folds across a
-//                       (promote_fill x k x density) grid, timing the full
-//                       stream + finalize and checking the promoted run's
-//                       snapshot is byte-identical to a never-promoted
-//                       (DensePolicy disabled) run. This is the
-//                       calibration data behind DensePolicy::promote_fill.
+// Dense-accumulation kernel bench: SPA vs Hash vs DenseAcc one-shot
+// SpKAdd across a column-density axis (union fill from sparse to
+// saturated). The dense kernel's structural win is sorted-by-construction
+// emission (bitmap scan, no radix sort), so it should pull ahead of the
+// SPA as columns saturate. Bit-identity to Hash is a hard gate on every
+// cell.
 //
 // `--json` emits the SampleLog document scripts/bench_smoke.sh commits as
 // BENCH_dense.json; `--enforce-win` turns the "DenseAcc beats SPA on the
@@ -26,7 +15,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/accumulator.hpp"
+#include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "util/cli.hpp"
 
@@ -65,8 +54,7 @@ std::vector<Csc> density_workload(std::int64_t rows, std::int64_t cols,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliParser cli("bench_dense",
-                      "dense-accumulation kernel and promotion sweep");
+  util::CliParser cli("bench_dense", "dense-accumulation kernel sweep");
   const auto* rows = cli.add_int("rows", 1 << 12, "rows per matrix (m)");
   const auto* cols = cli.add_int("cols", 32, "cols per matrix (n)");
   const auto* k = cli.add_int("k", 16, "addends per workload (power of two)");
@@ -79,10 +67,9 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_header(
-      "Dense accumulation (ColumnKernel::DenseAcc) density + promotion sweep",
+      "Dense accumulation (ColumnKernel::DenseAcc) density sweep",
       "the bitmap accumulator emits sorted columns without a radix sort, so "
-      "it should overtake the SPA as column fill saturates; adaptive "
-      "promotion must never change snapshot bytes");
+      "it should overtake the SPA as column fill saturates");
   bench::SampleLog log("bench_dense");
 
   const std::string shape =
@@ -92,7 +79,6 @@ int main(int argc, char** argv) {
   core::Options base;
   base.threads = static_cast<int>(*threads);
 
-  // ---- kernel face-off across the density axis --------------------------
   const std::vector<double> densities = {0.05, 0.25, 0.5, 1.0};
   const std::vector<core::Method> methods = {
       core::Method::Spa, core::Method::Hash, core::Method::DenseAcc};
@@ -136,74 +122,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-
-  // ---- promotion-threshold sweep ----------------------------------------
-  std::cout << "\nAccumulator promotion sweep (streaming fold + finalize; "
-               "snapshot must be byte-identical to DensePolicy off):\n";
-  util::TablePrinter ptable({"fill", "k", "density", "stream s", "vs off",
-                             "promotions"});
-  const std::vector<double> fills = {-1.0, 0.25, 0.5, 0.75};  // -1 = off
-  const std::vector<int> ks = {static_cast<int>(*k) / 2,
-                               static_cast<int>(*k)};
-  const std::vector<double> pdens = {0.25, 1.0};
-
-  for (const int kk : ks) {
-    for (const double density : pdens) {
-      const auto inputs =
-          density_workload(*rows, *cols, density, kk, 6200);
-      // Reference: promotion disabled.
-      core::Options off = base;
-      off.dense.enabled = false;
-      Csc expected;
-      double t_off = 0.0;
-      {
-        core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), off, 4);
-        t_off = bench::time_median(static_cast<int>(*repeats), [&] {
-          acc.add_batch(std::span<const Csc>(inputs));
-          expected = acc.finalize();
-        });
-      }
-      for (const double fill : fills) {
-        core::Options opts = base;
-        if (fill < 0) {
-          opts.dense.enabled = false;
-        } else {
-          opts.dense.promote_fill = fill;
-          opts.dense.min_rows = 1;
-        }
-        core::Accumulator<> acc(static_cast<std::int32_t>(*rows),
-                                static_cast<std::int32_t>(*cols), opts, 4);
-        Csc out;
-        const double t = bench::time_median(static_cast<int>(*repeats), [&] {
-          acc.add_batch(std::span<const Csc>(inputs));
-          out = acc.finalize();
-        });
-        if (!(out == expected)) {
-          std::cerr << "MISMATCH: promote_fill=" << fill << " k=" << kk
-                    << " density=" << density
-                    << " snapshot differs from DensePolicy-off run\n";
-          all_exact = false;
-        }
-        char fbuf[16], dbuf[16];
-        std::snprintf(fbuf, sizeof(fbuf), fill < 0 ? "off" : "%.2f", fill);
-        std::snprintf(dbuf, sizeof(dbuf), "%.2f", density);
-        // Promotions from the timed laps accumulate; report per-stream.
-        const auto laps = static_cast<std::uint64_t>(*repeats) + 0;
-        const std::uint64_t promos =
-            acc.stats().dense_promotions / std::max<std::uint64_t>(laps, 1);
-        ptable.add_row({fbuf, std::to_string(kk), dbuf, bench::cell(t),
-                        ratio_cell(t > 0.0 ? t_off / t : 0.0),
-                        std::to_string(promos)});
-        log.add("promote/fill=" + std::string(fbuf) + "/k=" +
-                    std::to_string(kk) + "/density=" + dbuf,
-                shape + " fill=" + fbuf + " k=" + std::to_string(kk) +
-                    " density=" + dbuf,
-                t);
-      }
-    }
-  }
-  ptable.print(std::cout);
 
   std::cout << "\nDenseAcc beats SPA on the densest preset: "
             << (dense_wins_densest ? "yes" : "NO") << "\n";

@@ -182,9 +182,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nexpected shape: accumulator throughput within a small "
-               "factor of one-shot (it re-streams the running sum once per "
-               "batch) at a fraction of the peak intermediate footprint; "
-               "nnz-balanced meets or beats dynamic on skewed columns.\n";
+               "factor of one-shot (a fold costs its batch; the resident "
+               "running sum is never re-merged) while staging one batch of "
+               "addends instead of all k; nnz-balanced meets or beats "
+               "dynamic on skewed columns.\n";
   if (!json->empty() && !log.write(*json)) return 1;
   return 0;
 }

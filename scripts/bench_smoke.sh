@@ -23,10 +23,9 @@
 # promises hot paths never touch the registry). Samples land in
 # BENCH_obs.json.
 #
-# The representation-adaptivity leg (bench_dense: SPA vs Hash vs DenseAcc
-# across a column-density axis plus the Accumulator promotion-threshold
-# sweep, every cell bit-identity gated) lands in BENCH_dense.json on the
-# same schema.
+# The dense-kernel leg (bench_dense: SPA vs Hash vs DenseAcc across a
+# column-density axis, every cell bit-identity gated) lands in
+# BENCH_dense.json on the same schema.
 #
 # Usage: scripts/bench_smoke.sh [summa.json] [service.json] [hybrid.json] \
 #                               [calibration.json] [daemon.json] [obs.json] \
@@ -168,12 +167,10 @@ echo "=== bench_daemon (8-connection windowed loadgen) ==="
   --tenants 2 --json "$tmp/daemon.json" > "$tmp/daemon.txt"
 cat "$tmp/daemon.txt"
 
-# Representation-adaptivity leg: the density face-off (SPA vs Hash vs
-# DenseAcc) and the promotion-threshold sweep. Bit-identity (one-shot to
-# Hash, promoted snapshots to DensePolicy-off) gates the run; the
-# DenseAcc-beats-SPA verdict is recorded in the samples, not enforced
-# (single-core CI timing).
-echo "=== bench_dense (density + promotion sweep) ==="
+# Dense-kernel leg: the density face-off (SPA vs Hash vs DenseAcc).
+# Bit-identity to Hash gates the run; the DenseAcc-beats-SPA verdict is
+# recorded in the samples, not enforced (single-core CI timing).
+echo "=== bench_dense (density sweep) ==="
 "$BUILD_DIR/bench/bench_dense" \
   --rows 8192 --cols 32 --k 16 --repeats 5 \
   --json "$tmp/dense.json" > "$tmp/dense.txt"

@@ -8,6 +8,11 @@
 #                  layer; libgomp is not TSAN-instrumented, so the
 #                  OpenMP kernels are out of scope for this leg)
 #   MODE=all       plain + sanitize + tsan, in sequence (default)
+# Every leg runs its ctest at OMP_NUM_THREADS=1 and =4 (results and
+# footprints must not depend on the thread count), then re-runs the
+# concurrency and property labels (those within the leg's label) with
+# --repeat until-fail:5 at 4 threads, so a schedule-dependent failure
+# shows up within one CI run.
 # Usage: [MODE=plain|sanitize|tsan|all] scripts/ci.sh [extra cmake args...]
 set -euo pipefail
 
@@ -23,12 +28,20 @@ run_mode() {
   cmake -B "$build_dir" -S . "$@"
   echo "=== [$name] build ==="
   cmake --build "$build_dir" -j "$JOBS"
-  echo "=== [$name] ctest ==="
-  local ctest_args=(--output-on-failure -j "$JOBS")
+  local ctest_args=(--test-dir "$build_dir" --output-on-failure -j "$JOBS")
+  local label_args=()
   if [ -n "$label" ]; then
-    ctest_args+=(-L "$label")
+    label_args=(-L "$label")
   fi
-  ctest --test-dir "$build_dir" "${ctest_args[@]}"
+  local threads
+  for threads in 1 4; do
+    echo "=== [$name] ctest (OMP_NUM_THREADS=$threads) ==="
+    OMP_NUM_THREADS="$threads" ctest "${ctest_args[@]}" "${label_args[@]}"
+  done
+  echo "=== [$name] ctest: ${label:-concurrency|property} x5" \
+       "(OMP_NUM_THREADS=$threads) ==="
+  OMP_NUM_THREADS="$threads" ctest "${ctest_args[@]}" \
+    -L "${label:-concurrency|property}" --repeat until-fail:5
 }
 
 run_tsan() {

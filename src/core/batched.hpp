@@ -3,11 +3,9 @@
 // SpKAdd for each batch."
 //
 // A thin wrapper over core::Accumulator: the collection is streamed through
-// the accumulator `batch_size` addends at a time, each fold combining the
-// batch with the running partial sum in one extra SpKAdd level. Peak extra
-// memory is one batch of intermediates instead of all k, at the cost of
-// re-streaming the accumulator once per batch — exactly the streaming
-// trade-off the paper sketches. Batches are spans of *borrowed* matrix
+// the accumulator `batch_size` addends at a time, each fold scattering the
+// batch into the resident running sum. At most one batch of addends is
+// staged at a time instead of all k. Batches are spans of *borrowed* matrix
 // pointers: no input matrix is ever copied (tests pin this with the
 // CscMatrix copy counter).
 #pragma once
@@ -15,6 +13,7 @@
 #include <span>
 
 #include "core/accumulator.hpp"
+#include "core/spkadd.hpp"
 
 namespace spkadd::core {
 

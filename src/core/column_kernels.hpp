@@ -217,22 +217,6 @@ std::size_t spa_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
   return out;
 }
 
-/// Symbolic SPA: count distinct row indices (used when the SPA driver needs
-/// exact output sizes without a hash table).
-template <class IndexT, class ValueT>
-std::size_t spa_symbolic_column(
-    std::span<const ColumnView<IndexT, ValueT>> cols,
-    SpaWorkspace<IndexT, ValueT>& ws, OpCounters* counters = nullptr) {
-  ws.new_column();
-  std::uint64_t touches = 0;
-  for (const auto& col : cols) {
-    for (std::size_t i = 0; i < col.nnz(); ++i) ws.add(col.rows[i], ValueT{});
-    touches += col.nnz();
-  }
-  if (counters) counters->spa_touches += touches;
-  return ws.touched.size();
-}
-
 // ---------------------------------------------------------------------------
 // Hash (Alg. 5 / Alg. 6)
 // ---------------------------------------------------------------------------
@@ -463,11 +447,11 @@ std::size_t sliding_hash_add_column(
 namespace detail {
 
 /// True when `v` is the identity-dense column 0..rows-1 (one entry per
-/// row, ascending) — the shape a fully dense addend or a promoted running
-/// sum presents. Checked exactly with one vector-friendly pass rather
-/// than inferred from nnz == rows: unsorted and duplicate-row columns are
-/// legal inputs to the hash-family kernels, so a count alone proves
-/// nothing.
+/// row, ascending) — the shape a fully dense addend or a saturated
+/// running-sum snapshot presents. Checked exactly with one vector-friendly
+/// pass rather than inferred from nnz == rows: unsorted and duplicate-row
+/// columns are legal inputs to the hash-family kernels, so a count alone
+/// proves nothing.
 template <class IndexT, class ValueT>
 [[nodiscard]] inline bool is_identity_dense(
     const ColumnView<IndexT, ValueT>& v, IndexT rows) {
@@ -486,6 +470,35 @@ template <class IndexT, class ValueT>
 }
 
 }  // namespace detail
+
+/// Emit the rows set in bitmap words [w_lo, w_end) ascending, each with
+/// its dense value; full words take a vector iota+copy. Returns entries
+/// written. Shared by the DenseAcc kernel and the Accumulator's resident
+/// dense columns.
+template <class IndexT, class ValueT>
+std::size_t dense_emit_words(const ValueT* vals, const std::uint64_t* mask,
+                             std::size_t w_lo, std::size_t w_end,
+                             IndexT* out_rows, ValueT* out_vals) {
+  std::size_t out = 0;
+  for (std::size_t w = w_lo; w < w_end; ++w) {
+    std::uint64_t bits = mask[w];
+    if (bits == 0) continue;
+    const std::size_t base = w * 64;
+    if (bits == ~std::uint64_t{0}) {
+      simd::iota_rows(out_rows + out, static_cast<IndexT>(base), 64);
+      simd::dense_copy(out_vals + out, vals + base, 64);
+      out += 64;
+      continue;
+    }
+    while (bits != 0) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(bits));
+      out_rows[out] = static_cast<IndexT>(base + b);
+      out_vals[out++] = vals[base + b];
+      bits &= bits - 1;
+    }
+  }
+  return out;
+}
 
 /// Symbolic phase of the dense kernel: count distinct rows through the
 /// occupancy bitmap (sequential word access — on dense columns this beats
@@ -605,35 +618,19 @@ std::size_t dense_add_column(std::span<const ColumnView<IndexT, ValueT>> cols,
     }
   }
 
-  // Emission: ascending bitmap scan, zeroing words behind itself to
+  // Emission: ascending bitmap scan, then zero the scanned words to
   // restore the workspace invariant.
   std::size_t out = 0;
   if (filled == m) {
     simd::iota_rows(out_rows, IndexT{0}, m);
     simd::dense_copy(out_vals, vals, m);
     out = m;
-    for (std::size_t w = 0; w < words; ++w) mask[w] = 0;
-  } else {
-    for (std::size_t w = w_lo; w <= w_hi && w < words; ++w) {
-      std::uint64_t bits = mask[w];
-      if (bits == 0) continue;
-      const std::size_t base = w * 64;
-      if (bits == ~std::uint64_t{0}) {
-        simd::iota_rows(out_rows + out, static_cast<IndexT>(base), 64);
-        simd::dense_copy(out_vals + out, vals + base, 64);
-        out += 64;
-      } else {
-        while (bits != 0) {
-          const auto b =
-              static_cast<std::size_t>(std::countr_zero(bits));
-          out_rows[out] = static_cast<IndexT>(base + b);
-          out_vals[out++] = vals[base + b];
-          bits &= bits - 1;
-        }
-      }
-      mask[w] = 0;
-    }
+    w_lo = 0;
+    w_hi = words - 1;
+  } else if (w_lo < words) {
+    out = dense_emit_words(vals, mask, w_lo, w_hi + 1, out_rows, out_vals);
   }
+  if (w_lo < words) std::fill(mask + w_lo, mask + w_hi + 1, std::uint64_t{0});
   if (counters) counters->dense_touches += inz + out;
   return out;
 }

@@ -54,6 +54,16 @@ void borrow_all(std::span<const CscMatrix<IndexT, ValueT>> inputs,
   for (const auto& m : inputs) ptrs.push_back(&m);
 }
 
+/// borrow_all() into a fresh vector; as a call argument it outlives the
+/// call, so `f(MatrixPtrs(borrowed(inputs)), ...)` is safe.
+template <class IndexT, class ValueT>
+std::vector<const CscMatrix<IndexT, ValueT>*> borrowed(
+    std::span<const CscMatrix<IndexT, ValueT>> inputs) {
+  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
+  borrow_all(inputs, ptrs);
+  return ptrs;
+}
+
 /// Reject shapes where a row index can alias the hash kernels' empty-slot
 /// sentinel IndexT(-1) (the predicate lives in validate.hpp so validate()
 /// and the drivers agree on which shapes are legal): the kernels key on
@@ -105,27 +115,21 @@ std::size_t total_nnz(std::span<Element> inputs) {
 }
 
 /// One parallel O(k*n) pass over the per-column summed input nnz — the
-/// cost model shared by the Auto prescan (max over columns decides hash vs
-/// sliding hash), the symbolic phase and the nnz-balanced schedule. Stores
-/// the per-column totals when `costs` is non-null; returns the maximum.
+/// cost model shared by the Auto prescan (the max decides hash vs sliding
+/// hash), the symbolic scratch bound and the chunk plans. Stores the
+/// totals in `*costs` when given; returns the maximum.
 template <class Element>
-std::uint64_t scan_column_input_nnz(std::span<Element> inputs,
-                                    const Options& opts,
-                                    std::vector<std::uint64_t>* costs) {
+std::uint64_t column_input_nnz(std::span<Element> inputs, const Options& opts,
+                               std::vector<std::uint64_t>* costs) {
   using IndexT = std::decay_t<decltype(deref(inputs.front()).cols())>;
   const IndexT cols = inputs.empty() ? IndexT{0} : deref(inputs.front()).cols();
   if (costs) costs->assign(static_cast<std::size_t>(cols), 0);
   const int nthreads =
       opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  const std::uint8_t* skip = opts.skip_cols;
   std::uint64_t max_cost = 0;
 #pragma omp parallel for num_threads(nthreads) schedule(static) \
     reduction(max : max_cost)
   for (IndexT j = 0; j < cols; ++j) {
-    // Skipped (dense-resident) columns cost nothing: the fold never
-    // gathers their views, so neither the schedule nor the Auto prescan
-    // should weigh them.
-    if (skip && skip[static_cast<std::size_t>(j)] != 0) continue;
     std::uint64_t t = 0;
     for (const auto& e : inputs)
       t += static_cast<std::uint64_t>(deref(e).col_nnz(j));
@@ -135,19 +139,10 @@ std::uint64_t scan_column_input_nnz(std::span<Element> inputs,
   return max_cost;
 }
 
-/// Fill `costs` with the per-column totals (scheduling + symbolic reuse).
 template <class Element>
 std::uint64_t column_input_nnz(std::span<Element> inputs, const Options& opts,
                                std::vector<std::uint64_t>& costs) {
-  return scan_column_input_nnz(inputs, opts, &costs);
-}
-
-/// Max-only variant for callers that just need the heaviest column (the
-/// standalone Auto prescan entry points): O(1) extra memory.
-template <class Element>
-std::uint64_t max_column_input_nnz(std::span<Element> inputs,
-                                   const Options& opts) {
-  return scan_column_input_nnz(inputs, opts, nullptr);
+  return column_input_nnz(inputs, opts, &costs);
 }
 
 /// Greedily cut [0, n) into chunks of roughly equal summed cost, about
@@ -177,70 +172,35 @@ void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
   if (begin < n) chunks.push_back({begin, n});
 }
 
-/// Column-parallel loop honoring Options::{threads, schedule}; `body` is
-/// called as body(j, OpCounters*) where the counter pointer is thread-
-/// private (or null when opts.counters is null) and reduced afterwards.
-/// With Schedule::NnzBalanced and a cost vector sized to n, the columns are
-/// pre-partitioned into cost-balanced chunks; otherwise NnzBalanced
-/// degrades to the dynamic schedule.
-template <class IndexT, class Body>
-void for_each_column(IndexT n, const Options& opts,
-                     std::span<const std::uint64_t> costs, Body&& body) {
-  const int nthreads =
-      opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  std::vector<OpCounters> per(static_cast<std::size_t>(nthreads));
-
-  const bool balanced = opts.schedule == Schedule::NnzBalanced &&
-                        costs.size() == static_cast<std::size_t>(n) && n > 0;
-  if (balanced) {
-    std::vector<std::pair<IndexT, IndexT>> chunks;
-    balance_chunks(costs, nthreads, chunks);
-    const auto nchunks = static_cast<std::int64_t>(chunks.size());
-#pragma omp parallel num_threads(nthreads)
-    {
-      OpCounters* c =
-          opts.counters
-              ? &per[static_cast<std::size_t>(omp_get_thread_num())]
-              : nullptr;
-#pragma omp for schedule(dynamic, 1) nowait
-      for (std::int64_t i = 0; i < nchunks; ++i)
-        for (IndexT j = chunks[static_cast<std::size_t>(i)].first;
-             j < chunks[static_cast<std::size_t>(i)].second; ++j)
-          body(j, c);
-    }
-  } else {
-    const bool dynamic = opts.schedule != Schedule::Static;
-#pragma omp parallel num_threads(nthreads)
-    {
-      OpCounters* c =
-          opts.counters
-              ? &per[static_cast<std::size_t>(omp_get_thread_num())]
-              : nullptr;
-      if (dynamic) {
-#pragma omp for schedule(dynamic, 8) nowait
-        for (IndexT j = 0; j < n; ++j) body(j, c);
-      } else {
-#pragma omp for schedule(static) nowait
-        for (IndexT j = 0; j < n; ++j) body(j, c);
-      }
-    }
+/// Cut n columns into the chunks Options::schedule drains: cost-balanced
+/// under NnzBalanced (when `costs` covers the n columns), one contiguous
+/// block per thread under Static, 8 columns at a time otherwise.
+template <class IndexT>
+void schedule_chunks(IndexT n, std::span<const std::uint64_t> costs,
+                     const Options& opts,
+                     std::vector<std::pair<IndexT, IndexT>>& chunks) {
+  const int threads =
+      std::max(1, opts.threads > 0 ? opts.threads : omp_get_max_threads());
+  if (opts.schedule == Schedule::NnzBalanced &&
+      costs.size() == static_cast<std::size_t>(n)) {
+    balance_chunks(costs, threads, chunks);
+    return;
   }
-  if (opts.counters)
-    for (const auto& c : per) *opts.counters += c;
-}
-
-template <class IndexT, class Body>
-void for_each_column(IndexT n, const Options& opts, Body&& body) {
-  for_each_column(n, opts, std::span<const std::uint64_t>{},
-                  std::forward<Body>(body));
+  const auto width = static_cast<std::int64_t>(
+      opts.schedule == Schedule::Static ? (n + threads - 1) / threads : 8);
+  chunks.clear();
+  for (std::int64_t c0 = 0; c0 < n; c0 += std::max<std::int64_t>(width, 1))
+    chunks.push_back({static_cast<IndexT>(c0),
+                      static_cast<IndexT>(std::min<std::int64_t>(
+                          n, c0 + width))});
 }
 
 /// Chunk-parallel loop over pre-partitioned column ranges — the dispatch
-/// unit of Method::Hybrid, whose chunks are already cost-balanced, so the
-/// chunk queue is drained `dynamic,1` exactly like the NnzBalanced
-/// schedule (Schedule::Static keeps a static split for the ablation
-/// bench). `body` is called as body(chunk_index, OpCounters*) with the
-/// same thread-private counter contract as for_each_column.
+/// unit of every column plan. The chunk queue is drained `dynamic,1`
+/// (Schedule::Static keeps a static split for the ablation bench). `body`
+/// is called as body(chunk_index, OpCounters*) where the counter pointer
+/// is thread-private (or null when opts.counters is null) and reduced
+/// afterwards.
 template <class IndexT, class Body>
 void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
                     const Options& opts, Body&& body) {
@@ -269,18 +229,35 @@ void for_each_chunk(std::span<const std::pair<IndexT, IndexT>> chunks,
     for (const auto& c : per) *opts.counters += c;
 }
 
+/// Column-parallel loop honoring Options::{threads, schedule}: the
+/// columns are cut by schedule_chunks and drained by for_each_chunk.
+/// `body` is called as body(j, OpCounters*) under the same counter
+/// contract.
+template <class IndexT, class Body>
+void for_each_column(IndexT n, const Options& opts,
+                     std::span<const std::uint64_t> costs, Body&& body) {
+  std::vector<std::pair<IndexT, IndexT>> chunks;
+  schedule_chunks(n, costs, opts, chunks);
+  for_each_chunk(std::span<const std::pair<IndexT, IndexT>>(chunks), opts,
+                 [&](std::size_t ci, OpCounters* c) {
+                   for (IndexT j = chunks[ci].first; j < chunks[ci].second;
+                        ++j)
+                     body(j, c);
+                 });
+}
+
+template <class IndexT, class Body>
+void for_each_column(IndexT n, const Options& opts, Body&& body) {
+  for_each_column(n, opts, std::span<const std::uint64_t>{},
+                  std::forward<Body>(body));
+}
+
 /// Gather the jth column views of all inputs into `views` (reused scratch);
-/// empty columns are skipped — they contribute nothing to any kernel. A
-/// column masked by `skip` (Options::skip_cols, the Accumulator's
-/// dense-resident mask) gathers NO views: every kernel then naturally
-/// emits an empty output column, which is how the sparse fold excludes
-/// dense-resident columns without per-driver special cases.
+/// empty columns are skipped — they contribute nothing to any kernel.
 template <class Element, class IndexT, class ValueT>
 void gather_views(std::span<Element> inputs, IndexT j,
-                  std::vector<ColumnView<IndexT, ValueT>>& views,
-                  const std::uint8_t* skip = nullptr) {
+                  std::vector<ColumnView<IndexT, ValueT>>& views) {
   views.clear();
-  if (skip && skip[static_cast<std::size_t>(j)] != 0) return;
   for (const auto& e : inputs) {
     auto col = deref(e).column(j);
     if (!col.empty()) views.push_back(col);

@@ -108,28 +108,6 @@ struct OpCounters {
   }
 };
 
-/// Sparse→dense promotion policy of the streaming Accumulator (ROADMAP
-/// item 1, mirroring the HLL sparse→dense representation switch): a
-/// running partial-sum column whose fill fraction crosses `promote_fill`
-/// is promoted to dense column storage and subsequent addends fold into
-/// it with vectorized scatter/dense adds; finalize()/partial_sum() demote
-/// back to CSC, so every output format — and every output *byte* — is
-/// unchanged. Promotion requires Options::sorted_output (demotion emits
-/// rows ascending) and a column-kernel method; TwoWay*/Reference* folds
-/// never promote.
-struct DensePolicy {
-  bool enabled = true;
-  /// Promote a column once nnz >= promote_fill * rows (the calibratable
-  /// threshold BENCH_dense.json sweeps).
-  double promote_fill = 0.5;
-  /// Never promote matrices shorter than this: the dense win needs enough
-  /// rows to amortize per-column bookkeeping.
-  std::int64_t min_rows = 64;
-  /// Cap on total dense-resident bytes per accumulator; promotion stops
-  /// (new candidates stay sparse) once reached.
-  std::size_t max_resident_bytes = 256ull << 20;
-};
-
 struct Options {
   Method method = Method::Auto;
 
@@ -168,18 +146,6 @@ struct Options {
   /// share across concurrent spkadd() calls; one counter per call).
   OpCounters* counters = nullptr;
 
-  /// Sparse→dense promotion policy consumed by the streaming Accumulator
-  /// (travels with the fold options so service shards inherit it without
-  /// extra plumbing). Ignored by one-shot spkadd() calls.
-  DensePolicy dense;
-
-  /// Internal (Accumulator) contract: when non-null, a byte per column;
-  /// nonzero marks a column the fold must SKIP — its views are never
-  /// gathered and its output column is empty. The Accumulator points this
-  /// at its dense-resident mask so promoted columns bypass the sparse fold
-  /// entirely. Only the column-kernel drivers honor it; spkadd() rejects
-  /// TwoWay*/Reference* methods under a mask.
-  const std::uint8_t* skip_cols = nullptr;
 };
 
 }  // namespace spkadd::core

@@ -15,9 +15,10 @@
 // kernel, bit-identically to any single-kernel run.
 //
 // The Auto prescan (max per-column input nnz) runs as one parallel pass
-// whose per-column totals land in the call's Runtime, where the symbolic
-// phase and the nnz-balanced schedule reuse them — the scan is paid once
-// per call, not once per consumer.
+// whose result lands in the call's Runtime (with the per-column totals
+// when the nnz-balanced schedule or Hybrid's plan reads them), where the
+// drivers reuse it — the scan is paid once per call, not once per
+// consumer.
 #pragma once
 
 #include <span>
@@ -31,42 +32,23 @@
 
 namespace spkadd::core {
 
-/// The Fig. 2 cache-residency test on a precomputed heaviest-column input
-/// nnz: b * T * max-column nnz > M. Output nnz is approximated by the
-/// per-column *input* nnz upper bound (overestimates by at most the
-/// compression factor, which only moves the boundary toward sliding hash —
-/// the safe direction).
-template <class IndexT, class ValueT>
-[[nodiscard]] bool tables_overflow_llc(std::uint64_t max_col_nnz,
-                                       const Options& opts) {
-  const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
-  const int threads =
-      opts.threads > 0 ? opts.threads : util::current_max_threads();
-  const std::size_t llc =
-      opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
-  return b * static_cast<std::size_t>(threads) *
-             static_cast<std::size_t>(max_col_nnz) >
-         llc;
-}
-
-/// Estimate whether the numeric-phase hash tables of all threads overflow
-/// the LLC budget. The per-column scan runs in parallel (it used to be a
-/// serial O(k*n) prepended to every Auto call).
-template <class IndexT, class ValueT>
-[[nodiscard]] bool auto_prefers_sliding(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts) {
-  return tables_overflow_llc<IndexT, ValueT>(
-      detail::max_column_input_nnz(inputs, opts), opts);
-}
-
 /// Pick a concrete method for Method::Auto from a precomputed heaviest
-/// column (internal fast path: the caller already owns the cost scan).
+/// column (internal fast path: the caller already owns the cost scan) by
+/// the Fig. 2 cache-residency test b * T * max-column nnz > M. Output nnz
+/// is approximated by the per-column *input* nnz upper bound
+/// (overestimates by at most the compression factor, which only moves
+/// the boundary toward sliding hash — the safe direction).
 template <class IndexT, class ValueT>
 [[nodiscard]] Method auto_select_from_max(std::size_t k, bool inputs_sorted,
                                           std::uint64_t max_col_nnz,
                                           const Options& opts) {
   if (k <= 2 && inputs_sorted) return Method::TwoWayTree;
-  return tables_overflow_llc<IndexT, ValueT>(max_col_nnz, opts)
+  const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
+  const int threads =
+      opts.threads > 0 ? opts.threads : util::current_max_threads();
+  const std::size_t llc =
+      opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
+  return b * static_cast<std::size_t>(threads) * max_col_nnz > llc
              ? Method::SlidingHash
              : Method::Hash;
 }
@@ -77,69 +59,48 @@ template <class IndexT, class ValueT>
     std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts) {
   return auto_select_from_max<IndexT, ValueT>(
       inputs.size(), opts.inputs_sorted,
-      detail::max_column_input_nnz(inputs, opts), opts);
+      detail::column_input_nnz(inputs, opts, nullptr), opts);
 }
 
 /// Add a collection of borrowed conformant sparse matrices:
-/// B = sum_i *inputs[i]. The primary entry point: batched and streaming
-/// callers (Accumulator, spkadd_batched) fold through here without copying
-/// an input, and a caller-owned Runtime keeps the per-thread scratch and
-/// the per-column cost scan alive across calls.
+/// B = sum_i *inputs[i]. The primary entry point: batched callers and
+/// snapshot assembly fold through here without copying an input, and a
+/// caller-owned Runtime keeps the per-thread scratch and the per-column
+/// cost scan alive across calls.
 template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> spkadd(
     MatrixPtrs<IndexT, ValueT> inputs, const Options& opts = {},
     Runtime<IndexT, ValueT>* rt = nullptr) {
   detail::check_conformant(inputs);
-  if (opts.skip_cols != nullptr &&
-      (opts.method == Method::TwoWayIncremental ||
-       opts.method == Method::TwoWayTree ||
-       opts.method == Method::ReferenceIncremental ||
-       opts.method == Method::ReferenceTree))
-    throw std::invalid_argument(
-        "spkadd: skip_cols requires a column-kernel method");
-  // A skip mask must reach a column-loop driver: the whole-matrix copy
-  // shortcut and the pairwise folds cannot honor it.
-  if (inputs.size() == 1 && opts.skip_cols == nullptr) {
+  if (inputs.size() == 1) {
     CscMatrix<IndexT, ValueT> out = *inputs[0];
     if (opts.sorted_output && !out.is_sorted()) out.sort_columns();
     return out;
   }
   Runtime<IndexT, ValueT> local;
   Runtime<IndexT, ValueT>& R = rt ? *rt : local;
-  R.col_costs.clear();  // never let a previous call's totals leak downstream
+  R.forget_costs();  // never let a previous call's totals leak downstream
   Method method = opts.method;
   // Fig. 2's 2-way corner needs no column scan; resolve it first so tiny-k
-  // Auto calls (e.g. pairwise accumulator folds) stay O(1) in dispatch.
-  if (method == Method::Auto && inputs.size() <= 2 && opts.inputs_sorted &&
-      opts.skip_cols == nullptr)
+  // Auto calls stay O(1) in dispatch.
+  if (method == Method::Auto && inputs.size() <= 2 && opts.inputs_sorted)
     method = Method::TwoWayTree;
-  // Only the column-loop drivers consume costs; TwoWay*/Reference* never
-  // schedule by them, so skip the scan for those even under NnzBalanced.
-  // Hybrid always needs the totals: its chunking AND per-chunk kernel
-  // classification feed from them regardless of schedule.
-  const bool kway_driver =
+  // One parallel scan serves the column-kernel methods: its max decides
+  // Auto and bounds every thread's symbolic scratch; the per-column
+  // totals are stored only for their readers, the balanced schedule and
+  // Hybrid's plan. TwoWay*/Reference* read neither.
+  const bool column_method =
       method == Method::Auto || method == Method::Heap ||
       method == Method::Spa || method == Method::Hash ||
-      method == Method::SlidingHash || method == Method::DenseAcc;
-  const bool want_costs =
-      (opts.schedule == Schedule::NnzBalanced && kway_driver) ||
+      method == Method::SlidingHash || method == Method::DenseAcc ||
       method == Method::Hybrid;
-  if (method == Method::Auto || want_costs) {
-    // One parallel scan: the per-column totals are kept only when the
-    // balanced schedule (and through it the symbolic phase) will read
-    // them; the Auto decision alone needs just the max. Always recomputed
-    // here: a persistent Runtime may hold the previous call's totals.
-    const std::uint64_t max_col_nnz =
-        want_costs ? detail::column_input_nnz(inputs, opts, R.col_costs)
-                   : detail::max_column_input_nnz(inputs, opts);
-    if (method == Method::Auto) {
+  if (column_method) {
+    detail::ensure_costs(inputs, opts, R,
+                         method == Method::Hybrid ||
+                             opts.schedule == Schedule::NnzBalanced);
+    if (method == Method::Auto)
       method = auto_select_from_max<IndexT, ValueT>(
-          inputs.size(), opts.inputs_sorted, max_col_nnz, opts);
-      // Under a skip mask the 2-way corner is off-limits (pairwise folds
-      // can't skip columns); hash is the nearest column-loop kernel.
-      if (opts.skip_cols != nullptr && method == Method::TwoWayTree)
-        method = Method::Hash;
-    }
+          inputs.size(), opts.inputs_sorted, R.max_col_cost, opts);
   }
   switch (method) {
     case Method::TwoWayIncremental:
@@ -173,9 +134,8 @@ template <class IndexT, class ValueT>
 [[nodiscard]] CscMatrix<IndexT, ValueT> spkadd(
     std::span<const CscMatrix<IndexT, ValueT>> inputs,
     const Options& opts = {}) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return spkadd(MatrixPtrs<IndexT, ValueT>(ptrs), opts);
+  return spkadd(
+      MatrixPtrs<IndexT, ValueT>(detail::borrowed(inputs)), opts);
 }
 
 /// Convenience overload for a vector of matrices.

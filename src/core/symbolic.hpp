@@ -54,51 +54,22 @@ inline std::size_t table_entry_cap(const Options& opts,
 
 }  // namespace detail
 
-/// Compute nnz(B(:,j)) for every column of the borrowed addends. `sliding`
-/// selects Alg. 7 (cache-capped tables) vs plain Alg. 6. When `rt` is
-/// given, its thread scratch is reused (only grown, never re-allocated per
-/// call) and its per-column cost vector — if already computed for these
-/// inputs — drives the nnz-balanced schedule and skips empty columns.
-template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts, bool sliding,
-    Runtime<IndexT, ValueT>* rt = nullptr) {
-  const auto [rows, cols] = detail::check_conformant(inputs);
-  std::vector<IndexT> counts(static_cast<std::size_t>(cols));
-  const std::size_t cap =
-      sliding ? detail::table_entry_cap(opts, sizeof(IndexT)) : 0;
-
-  Runtime<IndexT, ValueT> local;
-  Runtime<IndexT, ValueT>& R = rt ? *rt : local;
-  R.ensure_threads(opts.threads > 0 ? opts.threads
-                                    : util::current_max_threads());
-  // Costs steer the chunk schedule only — never skip work from them: a
-  // persistent Runtime may carry the previous fold's totals.
-  const auto costs = R.costs_for(cols);
-  const IndexT rows_copy = rows;
-  detail::for_each_column(cols, opts, costs, [&](IndexT j, OpCounters* c) {
-    auto& s = R.scratch[static_cast<std::size_t>(omp_get_thread_num())];
-    detail::gather_views(inputs, j, s.views, opts.skip_cols);
-    const std::span<const ColumnView<IndexT, ValueT>> views(s.views);
-    const std::size_t nz =
-        sliding ? sliding_symbolic_column(views, rows_copy, cap,
-                                          opts.inputs_sorted, s, c)
-                : hash_symbolic_column(views, s.sym_table, c);
-    counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(nz);
-  });
-  return counts;
-}
-
-/// Value-span convenience overload (tests/benches): borrows the matrices
-/// and forwards.
-template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column(
-    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
-    bool sliding) {
-  std::vector<const CscMatrix<IndexT, ValueT>*> ptrs;
-  detail::borrow_all(inputs, ptrs);
-  return symbolic_nnz_per_column(MatrixPtrs<IndexT, ValueT>(ptrs), opts,
-                                 sliding);
+/// The scratch `kernels` need (see ScratchNeed) for k addends of `rows`
+/// rows whose heaviest column sums `max_in` input nonzeros; the numeric
+/// phase adds the output bound.
+template <class IndexT>
+[[nodiscard]] ScratchNeed scratch_need(std::span<const ColumnKernel> kernels,
+                                       IndexT rows, const Options& opts,
+                                       std::uint64_t max_in, std::size_t k) {
+  const auto uses = [&](ColumnKernel x) {
+    return std::find(kernels.begin(), kernels.end(), x) != kernels.end();
+  };
+  return {.k = k,
+          .rows = static_cast<std::size_t>(rows),
+          .max_in = static_cast<std::size_t>(max_in),
+          .spa = uses(ColumnKernel::Spa),
+          .dense = uses(ColumnKernel::DenseAcc),
+          .filter = uses(ColumnKernel::SlidingHash) && !opts.inputs_sorted};
 }
 
 // ---------------------------------------------------------------------------
@@ -180,9 +151,7 @@ struct HybridPlan {
 
   [[nodiscard]] std::size_t size() const { return chunks.size(); }
   [[nodiscard]] bool uses(ColumnKernel k) const {
-    for (const ColumnKernel c : kernels)
-      if (c == k) return true;
-    return false;
+    return std::find(kernels.begin(), kernels.end(), k) != kernels.end();
   }
 };
 
@@ -234,19 +203,52 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   }
 }
 
-/// Hybrid symbolic phase: count every column with its chunk's kernel
-/// (sliding symbolic on sliding chunks, plain hash symbolic elsewhere).
-/// Chunks are the parallel work unit, drained dynamically — they are
-/// already cost-balanced, so this is the NnzBalanced schedule by
-/// construction.
+/// The plan of a single-kernel method over `cols` columns: every chunk
+/// runs `kernel`, and the chunks follow Options::schedule
+/// (detail::schedule_chunks; `costs` is read only under NnzBalanced).
+template <class IndexT>
+void plan_single(ColumnKernel kernel, IndexT cols,
+                 std::span<const std::uint64_t> costs, const Options& opts,
+                 HybridPlan<IndexT>& plan) {
+  detail::schedule_chunks(cols, costs, opts, plan.chunks);
+  plan.kernels.assign(plan.chunks.size(), kernel);
+}
+
+namespace detail {
+
+/// Scan the per-column costs into `R` unless it already holds what the
+/// call reads: their max (it bounds every symbolic table) and, when
+/// `totals`, the per-column totals too.
 template <class IndexT, class ValueT>
-std::vector<IndexT> symbolic_nnz_per_column_hybrid(
-    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
-    const HybridPlan<IndexT>& plan, Runtime<IndexT, ValueT>& R) {
+void ensure_costs(MatrixPtrs<IndexT, ValueT> inputs, const Options& opts,
+                  Runtime<IndexT, ValueT>& R, bool totals) {
+  const std::size_t cols =
+      inputs.empty() ? 0 : static_cast<std::size_t>(inputs.front()->cols());
+  if (totals ? R.col_costs.size() == cols : R.max_known) return;
+  R.max_col_cost =
+      column_input_nnz(inputs, opts, totals ? &R.col_costs : nullptr);
+  R.max_known = true;
+}
+
+}  // namespace detail
+
+/// Symbolic phase of a plan: count every column with its chunk's kernel —
+/// Alg. 6 hash tables (Heap/Spa/Hash chunks), the Alg. 7 cache-capped
+/// partition (sliding chunks) or the occupancy bitmap (dense chunks).
+/// Chunks are the parallel work unit; every thread's scratch is first
+/// grown to the call's largest need (deterministic scratch, see
+/// ScratchNeed). `R` must hold the costs the plan was built from
+/// (detail::ensure_costs).
+template <class IndexT, class ValueT>
+std::vector<IndexT> symbolic_nnz_per_plan(MatrixPtrs<IndexT, ValueT> inputs,
+                                          const Options& opts,
+                                          const HybridPlan<IndexT>& plan,
+                                          Runtime<IndexT, ValueT>& R) {
   const auto [rows, cols] = detail::check_conformant(inputs);
   std::vector<IndexT> counts(static_cast<std::size_t>(cols));
-  R.ensure_threads(opts.threads > 0 ? opts.threads
-                                    : util::current_max_threads());
+  R.reserve(opts.threads > 0 ? opts.threads : util::current_max_threads(),
+            scratch_need(std::span<const ColumnKernel>(plan.kernels), rows,
+                         opts, R.max_col_cost, inputs.size()));
   KernelEnv<IndexT> env;
   env.rows = rows;
   env.sym_cap = detail::table_entry_cap(opts, sizeof(IndexT));
@@ -259,7 +261,7 @@ std::vector<IndexT> symbolic_nnz_per_column_hybrid(
         const ColumnKernel kernel = plan.kernels[ci];
         for (IndexT j = plan.chunks[ci].first; j < plan.chunks[ci].second;
              ++j) {
-          detail::gather_views(inputs, j, s.views, opts.skip_cols);
+          detail::gather_views(inputs, j, s.views);
           counts[static_cast<std::size_t>(j)] = static_cast<IndexT>(
               kernel_symbolic_column(
                   kernel,
@@ -268,6 +270,36 @@ std::vector<IndexT> symbolic_nnz_per_column_hybrid(
         }
       });
   return counts;
+}
+
+/// Compute nnz(B(:,j)) for every column of the borrowed addends. `sliding`
+/// selects Alg. 7 (cache-capped tables) vs plain Alg. 6. When `rt` is
+/// given, its thread scratch and per-column costs are reused.
+template <class IndexT, class ValueT>
+std::vector<IndexT> symbolic_nnz_per_column(
+    MatrixPtrs<IndexT, ValueT> inputs, const Options& opts, bool sliding,
+    Runtime<IndexT, ValueT>* rt = nullptr) {
+  Runtime<IndexT, ValueT> local;
+  Runtime<IndexT, ValueT>& R = rt ? *rt : local;
+  detail::ensure_costs(inputs, opts, R,
+                       opts.schedule == Schedule::NnzBalanced);
+  HybridPlan<IndexT> plan;
+  plan_single(sliding ? ColumnKernel::SlidingHash : ColumnKernel::Hash,
+              detail::check_conformant(inputs).second,
+              std::span<const std::uint64_t>(R.col_costs), opts, plan);
+  std::vector<IndexT> counts = symbolic_nnz_per_plan(inputs, opts, plan, R);
+  R.forget_costs();
+  return counts;
+}
+
+/// Value-span convenience overload (tests/benches): borrows the matrices
+/// and forwards.
+template <class IndexT, class ValueT>
+std::vector<IndexT> symbolic_nnz_per_column(
+    std::span<const CscMatrix<IndexT, ValueT>> inputs, const Options& opts,
+    bool sliding) {
+  return symbolic_nnz_per_column(
+      MatrixPtrs<IndexT, ValueT>(detail::borrowed(inputs)), opts, sliding);
 }
 
 }  // namespace spkadd::core

@@ -148,15 +148,39 @@ struct HeapWorkspace {
   }
 };
 
+/// Size of the hash table allocated for `need` distinct keys. Alg. 5 line 2
+/// asks for "a power of two greater than nnz"; taken literally that allows
+/// load factors arbitrarily close to 1 (e.g. 1023 keys in 1024 slots), where
+/// linear probing degenerates and the O(1)-probe analysis of Table I breaks.
+/// We therefore size at the smallest power of two >= 2*need, guaranteeing a
+/// load factor <= 0.5 — the standard engineering reading of the algorithm.
+[[nodiscard]] inline std::size_t hash_table_entries(std::size_t need) {
+  return static_cast<std::size_t>(util::next_pow2(2 * need));
+}
+
+/// The largest per-column requirement of one column loop. Growing every
+/// thread's scratch to it before the loop (Runtime::reserve) makes the
+/// pool's size a function of the call's shape alone, never of which thread
+/// drew which column, so a persistent Runtime reports the same
+/// storage_bytes() after identical calls under any schedule. A zero or
+/// false field leaves that scratch alone.
+struct ScratchNeed {
+  std::size_t k = 0;         ///< addends: view lists, heap, filter bounds
+  std::size_t rows = 0;      ///< SPA and dense arrays (when used)
+  std::size_t max_in = 0;    ///< heaviest column's input nnz: symbolic tables
+  std::size_t max_out = 0;   ///< heaviest output column: numeric tables
+  bool spa = false;          ///< SPA arrays + touched list
+  bool dense = false;        ///< dense value array + bitmap
+  bool filter = false;       ///< sliding over unsorted inputs: filter copies
+};
+
 /// Everything one thread needs across any SpKAdd phase: the five method
 /// scratch structures plus the view/partition buffers of the symbolic and
 /// sliding passes. One superset struct (rather than one per driver) lets a
-/// single pool serve symbolic + numeric phases and every method, so a
-/// streaming accumulator can keep the scratch hot across batches. All
-/// members start empty and only grow on first use, so under the per-chunk
-/// hybrid dispatch a thread's scratch footprint is the union of the
-/// kernels it actually ran — e.g. the O(m) SPA array is never allocated
-/// on a thread that only ever drew hash chunks.
+/// single pool serve symbolic + numeric phases and every method, so
+/// repeated calls keep the scratch hot. Members start empty and grow only
+/// for the kernels a call's plan uses — e.g. the O(m) SPA array is never
+/// allocated for a plan without SPA chunks.
 template <class IndexT, class ValueT>
 struct ThreadScratch {
   HashWorkspace<IndexT, ValueT> table;
@@ -169,6 +193,32 @@ struct ThreadScratch {
   std::vector<IndexT> rows_scratch;
   std::vector<ValueT> vals_scratch;
   std::vector<std::size_t> bounds;
+
+  /// Grow (never shrink) to `n`. Capacity only: memory is touched when a
+  /// kernel first uses it, so this costs O(1) allocations per member.
+  void reserve(const ScratchNeed& n) {
+    views.reserve(n.k);
+    part_views.reserve(n.k);
+    heap.nodes.reserve(n.k);
+    heap.cursor.reserve(n.k);
+    sym_table.keys.reserve(n.max_in ? hash_table_entries(n.max_in) : 0);
+    table.keys.reserve(n.max_out ? hash_table_entries(n.max_out) : 0);
+    table.vals.reserve(n.max_out ? hash_table_entries(n.max_out) : 0);
+    if (n.spa) {
+      spa.values.reserve(n.rows);
+      spa.stamp.reserve(n.rows);
+      spa.touched.reserve(n.max_out);
+    }
+    if (n.dense) {
+      dense.values.reserve(n.rows);
+      dense.mask.reserve((n.rows + 63) / 64);
+    }
+    if (n.filter) {
+      rows_scratch.reserve(n.max_in);
+      vals_scratch.reserve(n.max_in);
+      bounds.reserve(n.k + 1);
+    }
+  }
 
   /// Bytes of backing storage currently held (footprint reporting and the
   /// no-regrowth reuse tests).
@@ -195,45 +245,49 @@ struct ThreadScratch {
 /// Per-call execution context that is *reusable across calls*: the
 /// per-thread scratch pool and the per-column input-nnz totals driving both
 /// the Auto prescan and nnz-balanced scheduling. Drivers accept an optional
-/// Runtime; when none is given they fall back to a call-local one (the
-/// pre-accumulator behavior). The Accumulator owns one so hash/SPA/heap
-/// scratch survives across batches instead of being re-grown per call.
+/// Runtime; when none is given they fall back to a call-local one. A
+/// caller that keeps one (e.g. the streaming SUMMA's local multiplies)
+/// keeps its scratch across calls.
 template <class IndexT, class ValueT>
 struct Runtime {
   std::vector<ThreadScratch<IndexT, ValueT>> scratch;
 
   /// Per-column sum of input nnz for the *current* call's inputs. Filled by
-  /// spkadd()/the drivers when the Auto policy or Schedule::NnzBalanced
-  /// needs it; sized to the column count or empty.
+  /// spkadd()/the drivers when Schedule::NnzBalanced or Method::Hybrid
+  /// reads it; sized to the column count or empty.
   std::vector<std::uint64_t> col_costs;
+  /// The heaviest column's summed input nnz (max of col_costs when that is
+  /// filled): the Auto decision and the symbolic tables' size bound.
+  std::uint64_t max_col_cost = 0;
+  bool max_known = false;  ///< max_col_cost is the current call's
+
+  /// Drop the current call's costs, keeping the vector's capacity.
+  void forget_costs() {
+    col_costs.clear();
+    max_col_cost = 0;
+    max_known = false;
+  }
 
   void ensure_threads(int nthreads) {
     if (scratch.size() < static_cast<std::size_t>(nthreads))
       scratch.resize(static_cast<std::size_t>(nthreads));
   }
 
-  /// The cost span to schedule with, or empty when not computed for `cols`.
-  [[nodiscard]] std::span<const std::uint64_t> costs_for(IndexT cols) const {
-    return col_costs.size() == static_cast<std::size_t>(cols)
-               ? std::span<const std::uint64_t>(col_costs)
-               : std::span<const std::uint64_t>{};
+  /// Grow the first `nthreads` threads' scratch to `need` (see ScratchNeed).
+  void reserve(int nthreads, const ScratchNeed& need) {
+    ensure_threads(nthreads);
+    for (int t = 0; t < nthreads; ++t)
+      scratch[static_cast<std::size_t>(t)].reserve(need);
   }
 
+  /// Bytes of the per-thread scratch pool. The cost vector is per-call
+  /// state, filled only when the schedule or plan reads it, and is left
+  /// out.
   [[nodiscard]] std::size_t storage_bytes() const {
-    std::size_t total = col_costs.capacity() * sizeof(std::uint64_t);
+    std::size_t total = 0;
     for (const auto& s : scratch) total += s.storage_bytes();
     return total;
   }
 };
-
-/// Size of the hash table allocated for `need` distinct keys. Alg. 5 line 2
-/// asks for "a power of two greater than nnz"; taken literally that allows
-/// load factors arbitrarily close to 1 (e.g. 1023 keys in 1024 slots), where
-/// linear probing degenerates and the O(1)-probe analysis of Table I breaks.
-/// We therefore size at the smallest power of two >= 2*need, guaranteeing a
-/// load factor <= 0.5 — the standard engineering reading of the algorithm.
-[[nodiscard]] inline std::size_t hash_table_entries(std::size_t need) {
-  return static_cast<std::size_t>(util::next_pow2(2 * need));
-}
 
 }  // namespace spkadd::core

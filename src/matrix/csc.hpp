@@ -135,6 +135,12 @@ class CscMatrix {
         std::span<const ValueT>(values_).subspan(lo, len)};
   }
 
+  /// Reserve room for `nnz` entries; the matrix itself is unchanged.
+  void reserve(std::size_t nnz) {
+    row_idx_.reserve(nnz);
+    values_.reserve(nnz);
+  }
+
   /// Reserve storage and set the column-pointer array from per-column
   /// counts; used by numeric phases after a symbolic pass.
   void set_structure(std::vector<IndexT> col_ptr) {

@@ -545,7 +545,6 @@ ServiceStats AggService::stats() const {
       out.shards[s].chunks_sliding += sh.counters.chunks_sliding;
       out.shards[s].chunks_dense += sh.counters.chunks_dense;
       out.shards[s].dense_promotions += sh.acc.stats().dense_promotions;
-      out.shards[s].dense_demotions += sh.acc.stats().dense_demotions;
       out.shards[s].dense_resident_cols += sh.acc.dense_resident_cols();
     }
     out.tenants.push_back(std::move(ts));
@@ -605,7 +604,6 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
     totals.chunks_sliding += sh.chunks_sliding;
     totals.chunks_dense += sh.chunks_dense;
     totals.dense_promotions += sh.dense_promotions;
-    totals.dense_demotions += sh.dense_demotions;
     totals.dense_resident_cols += sh.dense_resident_cols;
   }
   sink.counter("spkadd_shard_fold_flushes_total",
@@ -625,13 +623,10 @@ void AggService::export_metrics(obs::CollectorSink& sink) const {
   chunk("sliding", totals.chunks_sliding);
   chunk("dense", totals.chunks_dense);
   sink.counter("spkadd_dense_promotions_total",
-               "Sparse→dense column promotions across shard accumulators",
+               "Running-sum columns switched from hash to dense storage",
                svc, d(totals.dense_promotions));
-  sink.counter("spkadd_dense_demotions_total",
-               "Dense→sparse column demotions across shard accumulators",
-               svc, d(totals.dense_demotions));
   sink.gauge("spkadd_dense_resident_chunks",
-             "Columns currently held in dense (promoted) storage",
+             "Running-sum columns currently held in dense storage",
              svc, d(totals.dense_resident_cols));
   for (const auto& ts : st.tenants) {
     sink.counter("spkadd_tenant_updates_applied_total",

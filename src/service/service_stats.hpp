@@ -41,11 +41,10 @@ struct ShardStats {
   std::uint64_t chunks_hash = 0;
   std::uint64_t chunks_sliding = 0;
   std::uint64_t chunks_dense = 0;
-  // Representation adaptivity (core::DensePolicy): sparse→dense column
-  // promotions and demotions performed by this shard's accumulators, and
-  // the columns currently held dense across them (a gauge, not a counter).
+  // Representation adaptivity of the shard accumulators' resident running
+  // sums: columns switched from a hash table to a dense slot, and the
+  // columns currently held dense (a gauge, not a counter).
   std::uint64_t dense_promotions = 0;
-  std::uint64_t dense_demotions = 0;
   std::size_t dense_resident_cols = 0;
 };
 

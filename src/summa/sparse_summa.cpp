@@ -159,10 +159,11 @@ void run_buffered(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
 
 /// Streaming schedule: the g x g process loop runs OpenMP-parallel; each
 /// worker thread owns one core::Accumulator (reshaped per process, its
-/// Runtime scratch persisting across every stage, fold, and process it
-/// serves) and emits each stage product in place into an accumulator-owned
-/// staging buffer — no stage product is ever copied, and at most
-/// stream_window of them are live per process.
+/// resident store persisting across every process it serves) and one
+/// multiply Runtime (its scratch persisting across every stage), and emits
+/// each stage product in place into an accumulator-owned staging buffer —
+/// no stage product is ever copied, and at most stream_window of them are
+/// live per process.
 void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
                    SummaResult& result) {
   const int g = plan.config.grid;
@@ -180,6 +181,7 @@ void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
     core::Accumulator<> acc(
         0, 0, reduce_opts,
         static_cast<std::size_t>(plan.config.stream_window));
+    core::Runtime<std::int32_t, double> mult_rt;
     std::vector<double> mult_s(static_cast<std::size_t>(g), 0.0);
     std::vector<double> add_s(static_cast<std::size_t>(g), 0.0);
     std::size_t inter_nnz = 0;
@@ -205,8 +207,7 @@ void run_streaming(const Plan& plan, std::vector<std::vector<Csc>>& c_blocks,
                             plan.b_cols[static_cast<std::size_t>(pj)],
                             plan.b_cols[static_cast<std::size_t>(pj) + 1]);
           Csc& stage = acc.stage_buffer();
-          spgemm::multiply_into(a_blk, b_blk, mult_opts, acc.runtime(),
-                                stage);
+          spgemm::multiply_into(a_blk, b_blk, mult_opts, mult_rt, stage);
           mult_s[static_cast<std::size_t>(s)] += mult_timer.seconds();
           inter_nnz += stage.nnz();
           max_stage = std::max(max_stage, stage.nnz());

@@ -94,19 +94,22 @@ void radix_sort_pairs(K* keys, V* vals, std::size_t n,
   }
 }
 
+/// Below this many keys radix_sort_keys falls back to std::sort and
+/// touches no scratch.
+inline constexpr std::size_t kRadixKeysMin = 128;
+
 /// Key-only variant (the SPA kernel sorts its touched-row list and reads
-/// values from the dense accumulator afterwards).
+/// values from the dense accumulator afterwards) over caller-provided
+/// scratch of n keys, disjoint from `keys`; it never allocates.
 template <class K>
-void radix_sort_keys(K* keys, std::size_t n, std::vector<K>& scratch) {
+void radix_sort_keys(K* keys, std::size_t n, K* scratch) {
   static_assert(std::is_integral_v<K>);
   if (n < 2) return;
-  constexpr std::size_t kSmall = 128;
-  if (n < kSmall) {
+  if (n < kRadixKeysMin) {
     std::sort(keys, keys + n);
     return;
   }
   constexpr std::size_t kBytes = sizeof(K);
-  if (scratch.size() < n) scratch.resize(n);
   std::array<std::array<std::uint32_t, 256>, kBytes> hist{};
   for (std::size_t i = 0; i < n; ++i) {
     auto u = static_cast<std::make_unsigned_t<K>>(keys[i]);
@@ -114,7 +117,7 @@ void radix_sort_keys(K* keys, std::size_t n, std::vector<K>& scratch) {
       ++hist[b][(u >> (8 * b)) & 0xff];
   }
   K* src = keys;
-  K* dst = scratch.data();
+  K* dst = scratch;
   for (std::size_t b = 0; b < kBytes; ++b) {
     const auto first_byte =
         (static_cast<std::make_unsigned_t<K>>(src[0]) >> (8 * b)) & 0xff;
@@ -133,6 +136,13 @@ void radix_sort_keys(K* keys, std::size_t n, std::vector<K>& scratch) {
     std::swap(src, dst);
   }
   if (src != keys) std::memcpy(keys, src, n * sizeof(K));
+}
+
+/// radix_sort_keys with reusable scratch, grown on demand.
+template <class K>
+void radix_sort_keys(K* keys, std::size_t n, std::vector<K>& scratch) {
+  if (n >= kRadixKeysMin && scratch.size() < n) scratch.resize(n);
+  radix_sort_keys(keys, n, scratch.data());
 }
 
 }  // namespace spkadd::util

@@ -11,6 +11,7 @@
 #include "core/batched.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
+#include "service/agg_service.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -324,63 +325,202 @@ TEST(Accumulator, HeapMethodStreamingIsBitIdenticalToOneShot) {
   }
 }
 
-// ------------------------------------------------- sparse→dense residency
-TEST(DenseResidency, PromotedStreamIsByteIdenticalToSparseStream) {
-  // Columns promoted to dense storage scatter addends in staged order, so
-  // every snapshot must reproduce the never-promoted stream bit for bit —
-  // including a mid-stream partial_sum() that forces demotion and a
-  // second promotion wave afterwards.
-  const auto inputs = random_collection(10, 64, 8, 300, 51);
-  Options hot;
-  hot.method = Method::Hash;
-  hot.dense.promote_fill = 0.1;  // promote almost immediately
-  Options cold = hot;
-  cold.dense.enabled = false;
-
-  Accumulator<> promoted(64, 8, hot, 2);
-  Accumulator<> sparse(64, 8, cold, 2);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    promoted.add(inputs[i]);
-    sparse.add(inputs[i]);
-    if (i == 5) {
-      EXPECT_TRUE(promoted.partial_sum() == sparse.partial_sum());
-      EXPECT_EQ(promoted.dense_resident_cols(), 0u);  // snapshot demotes
-    }
-  }
-  promoted.flush();
-  EXPECT_GT(promoted.dense_resident_cols(), 0u);
-  EXPECT_GT(promoted.stats().dense_promotions, 0u);
-  EXPECT_TRUE(promoted.finalize() == sparse.finalize());
-  EXPECT_EQ(promoted.dense_resident_cols(), 0u);
-  EXPECT_EQ(promoted.stats().dense_demotions,
-            promoted.stats().dense_promotions);
-  EXPECT_EQ(sparse.stats().dense_promotions, 0u);
+// ------------------------------------------------------ resident running sum
+// Shapes whose columns cross the hash→dense break-even mid-stream: with
+// 256 rows a column turns dense past ~64 distinct rows, i.e. after about
+// eight ER addends of d = 8 (RMAT's heavy columns sooner, its light ones
+// never).
+std::vector<Csc> crossing_stream(gen::Pattern pattern, std::uint64_t seed) {
+  gen::WorkloadSpec spec;
+  spec.pattern = pattern;
+  spec.rows = 256;
+  spec.cols = 16;
+  spec.avg_nnz_per_col = 8;
+  spec.k = 32;
+  spec.seed = seed;
+  return gen::make_workload(spec);
 }
 
-TEST(DenseResidency, BudgetMinRowsAndSortednessGatePromotion) {
-  const auto inputs = random_collection(6, 64, 8, 300, 53);
-  const auto oracle = dense_sum_oracle(std::span<const Csc>(inputs));
-  // A residency budget smaller than one column slot: nothing promotes.
-  Options tiny;
-  tiny.dense.promote_fill = 0.1;
-  tiny.dense.max_resident_bytes = 8;
-  // A min_rows taller than the matrix: nothing promotes.
-  Options tall;
-  tall.dense.promote_fill = 0.0;
-  tall.dense.min_rows = 1000;
-  // Unsorted running sums cannot host dense residents.
-  Options unsorted;
-  unsorted.method = Method::Hash;
-  unsorted.sorted_output = false;
-  unsorted.dense.promote_fill = 0.0;
-  for (const Options& opts : {tiny, tall, unsorted}) {
-    Accumulator<> acc(64, 8, opts, 2);
-    acc.add_batch(std::span<const Csc>(inputs));
-    acc.flush();
-    EXPECT_EQ(acc.dense_resident_cols(), 0u);
-    EXPECT_EQ(acc.stats().dense_promotions, 0u);
-    EXPECT_TRUE(approx_equal(oracle, canonicalized(acc.finalize())));
+Csc one_shot_prefix(const std::vector<Csc>& inputs, std::size_t n,
+                    const Options& opts = {}) {
+  return core::spkadd(std::span<const Csc>(inputs).first(n), opts);
+}
+
+TEST(ResidentSum, EveryReadIsByteIdenticalToOneShotPrefix) {
+  for (const auto pattern : {gen::Pattern::ER, gen::Pattern::RMAT}) {
+    const auto inputs = crossing_stream(pattern, 61);
+    for (const std::size_t cadence : {1u, 3u, 13u, 0u}) {
+      for (const std::size_t cap : {1u, 2u, 8u}) {
+        Accumulator<> acc(256, 16, Options{}, cap);
+        std::size_t dense_at_first_fold = 0;
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          acc.add(inputs[i]);
+          if (acc.stats().flushes == 1 && acc.pending() == 0)
+            dense_at_first_fold = acc.dense_resident_cols();
+          if (cadence != 0 && (i + 1) % cadence == 0) {
+            EXPECT_TRUE(acc.partial_sum() == one_shot_prefix(inputs, i + 1))
+                << "prefix " << i + 1 << " cadence " << cadence << " cap "
+                << cap;
+          }
+        }
+        acc.flush();
+        // The stream really crossed the break-even: few or no dense
+        // columns early, some by the end, and a column never switches back.
+        EXPECT_LT(dense_at_first_fold, 16u);
+        EXPECT_GT(acc.dense_resident_cols(), 0u);
+        EXPECT_EQ(acc.dense_resident_cols(), acc.stats().dense_promotions);
+        EXPECT_TRUE(acc.finalize() == one_shot_prefix(inputs, inputs.size()))
+            << "cadence " << cadence << " cap " << cap;
+        EXPECT_EQ(acc.dense_resident_cols(), 0u);
+      }
+    }
   }
+}
+
+TEST(ResidentSum, UnsortedOutputHoldsTheSameBytesPerColumn) {
+  // sorted_output=false lists hash columns' rows in first-seen order;
+  // each column still holds exactly the one-shot entries, value bytes
+  // included.
+  const auto inputs = crossing_stream(gen::Pattern::RMAT, 62);
+  Options opts;
+  opts.method = Method::Hash;
+  opts.sorted_output = false;
+  Accumulator<> acc(256, 16, opts, 2);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    acc.add(inputs[i]);
+    if ((i + 1) % 3 == 0) {
+      EXPECT_TRUE(canonicalized(acc.partial_sum()) ==
+                  one_shot_prefix(inputs, i + 1))
+          << "prefix " << i + 1;
+    }
+  }
+  EXPECT_FALSE(acc.partial_is_sorted());
+  EXPECT_TRUE(canonicalized(acc.finalize()) ==
+              one_shot_prefix(inputs, inputs.size()));
+}
+
+TEST(ResidentSum, SortedMethodsKeepSortedPartialsUnderUnsortedOutput) {
+  // The merge, heap and dense families emit sorted columns whatever
+  // sorted_output says, so their partials stay byte-identical to one-shot
+  // and sorted, and a snapshot that adds shards' partials under such a
+  // method (which requires sorted inputs) still accepts them.
+  const auto inputs = crossing_stream(gen::Pattern::RMAT, 67);
+  for (const auto m :
+       {Method::Heap, Method::TwoWayIncremental, Method::DenseAcc}) {
+    Options opts;
+    opts.method = m;
+    opts.sorted_output = false;
+    Accumulator<> acc(256, 16, opts, 3);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      acc.add(inputs[i]);
+      if ((i + 1) % 5 == 0) {
+        EXPECT_TRUE(acc.partial_sum() == one_shot_prefix(inputs, i + 1, opts))
+            << method_name(m) << " prefix " << i + 1;
+        EXPECT_TRUE(acc.partial_is_sorted()) << method_name(m);
+      }
+    }
+    EXPECT_TRUE(acc.finalize() ==
+                one_shot_prefix(inputs, inputs.size(), opts))
+        << method_name(m);
+  }
+
+  service::ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.workers = 1;
+  cfg.options.method = Method::Heap;
+  cfg.options.sorted_output = false;
+  service::AggService svc(cfg);
+  for (const auto& u : inputs) EXPECT_TRUE(svc.submit("t", u));
+  svc.drain();
+  const auto snap = svc.snapshot("t");
+  EXPECT_TRUE(snap.sum.is_sorted());
+  EXPECT_TRUE(snap.sum ==
+              one_shot_prefix(inputs, inputs.size(), cfg.options));
+}
+
+TEST(ResidentSum, RejectedAddendLeavesSumAndSnapshotUntouched) {
+  const auto inputs = crossing_stream(gen::Pattern::ER, 63);
+  Options opts;
+  opts.method = Method::Heap;  // the heap family rejects unsorted addends
+  Accumulator<> acc(256, 16, opts, 4);
+  for (std::size_t i = 0; i < 12; ++i) acc.add(inputs[i]);
+  const Csc& snap = acc.partial_sum();
+  const Csc before = snap;
+  ASSERT_GT(acc.dense_resident_cols(), 0u);
+  const auto emissions = acc.stats().emissions;
+  Csc bad = inputs[12];
+  gen::shuffle_columns(bad, 7);
+  ASSERT_FALSE(bad.is_sorted());
+  acc.add(inputs[13]);
+  acc.add(bad);
+  EXPECT_THROW(acc.flush(), std::invalid_argument);
+  EXPECT_TRUE(snap == before);  // the last snapshot is intact
+  acc.discard_staged();
+  // Nothing was folded: the read is clean and returns the same snapshot.
+  EXPECT_TRUE(acc.partial_sum() == before);
+  EXPECT_EQ(acc.stats().emissions, emissions);
+  for (std::size_t i = 12; i < inputs.size(); ++i) acc.add(inputs[i]);
+  EXPECT_TRUE(acc.finalize() == one_shot_prefix(inputs, inputs.size(), opts));
+}
+
+TEST(ResidentSum, StagingDiscardAndReshapeWithLiveResidency) {
+  const auto inputs = crossing_stream(gen::Pattern::ER, 64);
+  Accumulator<> acc(256, 16, Options{}, 4);
+  for (std::size_t i = 0; i < 16; ++i) acc.add(inputs[i]);
+  ASSERT_GT(acc.dense_resident_cols(), 0u);
+  // A staged addend discarded while columns are resident never lands.
+  acc.add(inputs[31]);
+  acc.discard_staged();
+  // In-place staging folds into the resident columns.
+  for (std::size_t i = 16; i < 20; ++i) {
+    acc.stage_buffer() = Csc(inputs[i]);
+    acc.commit_staged();
+  }
+  EXPECT_TRUE(acc.partial_sum() == one_shot_prefix(inputs, 20));
+  EXPECT_THROW(acc.reshape(64, 4), std::logic_error);  // running sum lives
+  EXPECT_TRUE(acc.finalize() == one_shot_prefix(inputs, 20));
+
+  acc.reshape(64, 4);
+  const auto small = random_collection(6, 64, 4, 120, 65);
+  acc.add_batch(std::span<const Csc>(small));
+  EXPECT_TRUE(acc.finalize() == core::spkadd(small));
+  // The same 20 addends in the same batches again: the store's capacity
+  // is kept across the reshapes, so it does not regrow.
+  const std::size_t grown = acc.workspace_bytes();
+  acc.reshape(256, 16);
+  EXPECT_EQ(acc.workspace_bytes(), grown);
+  acc.add_batch(std::span<const Csc>(inputs).first(20));
+  EXPECT_TRUE(acc.finalize() == one_shot_prefix(inputs, 20));
+  EXPECT_EQ(acc.workspace_bytes(), grown);
+}
+
+TEST(ResidentSum, CleanReadReturnsTheCachedSnapshot) {
+  const auto inputs = crossing_stream(gen::Pattern::ER, 66);
+  OpCounters counters;
+  Options opts;
+  opts.counters = &counters;
+  Accumulator<> acc(256, 16, opts, 8);
+  std::size_t addend_nnz = 0, emitted_nnz = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    acc.add(inputs[i]);
+    addend_nnz += inputs[i].nnz();
+  }
+  const Csc* first = &acc.partial_sum();
+  emitted_nnz += first->nnz();
+  EXPECT_EQ(acc.stats().emissions, 1u);
+  // Nothing folded since: no re-emission, the same matrix.
+  EXPECT_EQ(&acc.partial_sum(), first);
+  acc.flush();
+  EXPECT_EQ(&acc.partial_sum(), first);
+  EXPECT_EQ(acc.stats().emissions, 1u);
+  acc.add(inputs[5]);
+  addend_nnz += inputs[5].nnz();
+  emitted_nnz += acc.partial_sum().nnz();
+  EXPECT_EQ(acc.stats().emissions, 2u);
+  // I/O accounting: each fold reads its addends once, each emission
+  // writes its snapshot once — the running sum is never re-streamed.
+  constexpr std::size_t kEntry = sizeof(std::int32_t) + sizeof(double);
+  EXPECT_EQ(counters.bytes_moved, (addend_nnz + emitted_nnz) * kEntry);
 }
 
 // ------------------------------------------------------ nnz-aware scheduling

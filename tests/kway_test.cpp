@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/kway.hpp"
+#include "core/spkadd.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
@@ -254,6 +255,61 @@ TEST_F(KwayDriverTest, WideMatrixManyEmptyColumns) {
   EXPECT_TRUE(approx_equal(oracle, spkadd_hash(std::span<const Csc>(inputs))));
   EXPECT_TRUE(approx_equal(oracle, spkadd_heap(std::span<const Csc>(inputs))));
   EXPECT_TRUE(approx_equal(oracle, spkadd_spa(std::span<const Csc>(inputs))));
+}
+
+// ------------------------------------------------- deterministic scratch
+TEST(RuntimeScratch, SizeFollowsTheCallShapeNotTheSchedule) {
+  // Every thread's scratch is grown to the call's largest need before each
+  // column loop, so which thread draws which column cannot change the
+  // pool: identical calls leave identical storage, under any schedule.
+  gen::WorkloadSpec spec;
+  spec.pattern = gen::Pattern::RMAT;
+  spec.rows = 1 << 10;
+  spec.cols = 1 << 6;
+  spec.avg_nnz_per_col = 8;
+  spec.k = 16;
+  auto inputs = gen::make_workload(spec);
+  for (const bool sorted : {true, false}) {
+    if (!sorted)
+      for (std::size_t i = 0; i < inputs.size(); ++i)
+        gen::shuffle_columns(inputs[i], 70 + i);
+    for (const auto m : {Method::Auto, Method::Hash, Method::SlidingHash,
+                         Method::Spa, Method::Heap, Method::DenseAcc,
+                         Method::Hybrid}) {
+      if (!sorted && m == Method::Heap) continue;
+      std::size_t reference = 0;
+      for (const auto sched :
+           {Schedule::Static, Schedule::Dynamic, Schedule::NnzBalanced}) {
+        Options opts;
+        opts.method = m;
+        opts.schedule = sched;
+        opts.threads = 4;
+        opts.inputs_sorted = sorted;
+        opts.max_table_entries = 64;  // make the sliding kernels slide
+        Runtime<std::int32_t, double> rt;
+        std::vector<const Csc*> ptrs;
+        detail::borrow_all(std::span<const Csc>(inputs), ptrs);
+        const Csc first = core::spkadd(MatrixPtrs<std::int32_t, double>(ptrs),
+                                       opts, &rt);
+        const std::size_t bytes = rt.storage_bytes();
+        EXPECT_GT(bytes, 0u);
+        // Every thread was grown to the call's largest need, whichever
+        // columns it drew.
+        ASSERT_EQ(rt.scratch.size(), 4u);
+        for (const auto& s : rt.scratch)
+          EXPECT_EQ(s.storage_bytes(), rt.scratch[0].storage_bytes())
+              << method_name(m) << " " << schedule_name(sched);
+        EXPECT_TRUE(core::spkadd(MatrixPtrs<std::int32_t, double>(ptrs), opts,
+                                 &rt) == first);
+        EXPECT_EQ(rt.storage_bytes(), bytes)
+            << method_name(m) << " " << schedule_name(sched);
+        if (reference == 0) reference = bytes;
+        EXPECT_EQ(bytes, reference)
+            << method_name(m) << " " << schedule_name(sched)
+            << " sorted=" << sorted;
+      }
+    }
+  }
 }
 
 }  // namespace
