@@ -18,11 +18,11 @@
 // across calls (the streaming accumulator's workspace-persistence path).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "core/calibration.hpp"
 #include "core/column_kernels.hpp"
 #include "core/detail.hpp"
 #include "util/cache_info.hpp"
@@ -89,21 +89,6 @@ inline constexpr std::uint64_t kHybridHeapMaxColNnz = 64;
 /// and beat the SPA's radix sort.
 inline constexpr std::uint64_t kHybridDenseMinFillDivisor = 8;
 
-/// The analytic dense eligibility test shared by the analytic surface and
-/// the calibrated argmin (the miss-cost grid has no rows axis, and the
-/// dense kernel's cost is a function of rows above all): the chunk must
-/// be dense enough (see kHybridDenseMinFillDivisor) and the T per-thread
-/// dense arrays (value + mask bit per row) must stay LLC-resident.
-template <class IndexT>
-[[nodiscard]] inline bool dense_chunk_eligible(
-    std::uint64_t chunk_max_col_nnz, IndexT rows,
-    std::uint64_t dense_fit_rows) {
-  return rows > 0 &&
-         static_cast<std::uint64_t>(rows) <= dense_fit_rows &&
-         chunk_max_col_nnz * kHybridDenseMinFillDivisor >=
-             static_cast<std::uint64_t>(rows);
-}
-
 /// Classify one nnz-balanced column chunk from its heaviest column's
 /// summed input nnz. `llc_fit_nnz` is the largest per-column input nnz
 /// whose numeric tables (all T threads') still fit the LLC — the same
@@ -131,7 +116,9 @@ template <class IndexT>
                                              std::uint64_t spa_fit_rows,
                                              std::uint64_t dense_fit_rows) {
   if (chunk_max_col_nnz == 0) return ColumnKernel::Hash;
-  if (dense_chunk_eligible(chunk_max_col_nnz, rows, dense_fit_rows))
+  if (rows > 0 && static_cast<std::uint64_t>(rows) <= dense_fit_rows &&
+      chunk_max_col_nnz * kHybridDenseMinFillDivisor >=
+          static_cast<std::uint64_t>(rows))
     return ColumnKernel::DenseAcc;
   if (chunk_max_col_nnz > llc_fit_nnz) return ColumnKernel::SlidingHash;
   if (inputs_sorted && k <= kHybridHeapMaxK &&
@@ -158,11 +145,9 @@ struct HybridPlan {
 /// Build the hybrid plan from the per-column input-nnz totals the call
 /// already computed (the Auto-prescan/NnzBalanced cost vector — no new
 /// scan): cut the columns into cost-balanced chunks, then classify each
-/// chunk from its heaviest column. When Options::calibration points at a
-/// usable MissCostTable the classification is the measured miss-cost
-/// argmin at the nearest grid point; otherwise it is the analytic
-/// hybrid_kernel_for surface. ValueT fixes the numeric table entry size
-/// of the cache-residency test.
+/// chunk from its heaviest column on the analytic hybrid_kernel_for
+/// surface. ValueT fixes the numeric table entry size of the
+/// cache-residency test.
 template <class IndexT, class ValueT>
 void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
                  std::size_t k, const Options& opts,
@@ -172,10 +157,6 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
   detail::balance_chunks(costs, threads, plan.chunks);
   plan.kernels.clear();
   plan.kernels.reserve(plan.chunks.size());
-  const MissCostTable* table =
-      (opts.calibration != nullptr && opts.calibration->usable())
-          ? opts.calibration
-          : nullptr;
   const std::size_t b = sizeof(IndexT) + sizeof(ValueT);
   const std::size_t llc =
       opts.llc_bytes != 0 ? opts.llc_bytes : util::effective_llc_bytes();
@@ -192,14 +173,8 @@ void plan_hybrid(std::span<const std::uint64_t> costs, IndexT rows,
     std::uint64_t mx = 0;
     for (IndexT j = c0; j < c1; ++j)
       mx = std::max(mx, costs[static_cast<std::size_t>(j)]);
-    plan.kernels.push_back(
-        table != nullptr
-            ? table->best_kernel(k, mx,
-                                 static_cast<std::uint64_t>(c1 - c0),
-                                 opts.inputs_sorted,
-                                 dense_chunk_eligible(mx, rows, dense_fit))
-            : hybrid_kernel_for(mx, k, rows, opts.inputs_sorted, fit,
-                                spa_fit, dense_fit));
+    plan.kernels.push_back(hybrid_kernel_for(mx, k, rows, opts.inputs_sorted,
+                                             fit, spa_fit, dense_fit));
   }
 }
 
