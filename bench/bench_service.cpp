@@ -1,22 +1,25 @@
-// Open-loop load generator for the sharded aggregation service: sweeps
-// shards x producer threads x batch_window over ER/RMAT update streams
-// and reports sustained ingest throughput plus submit->applied latency
-// percentiles (p50/p95/p99), the queue high-water mark, and the peak
-// staged footprint.
+// Load generator for the aggregation service's running-sum case: one
+// WindowedAggService tenant with a single unbounded bucket (every
+// timestamp lands in it, nothing expires), swept over worker threads x
+// producer threads x batch_window x worker pop burst on ER/RMAT update
+// streams. Reports sustained ingest throughput plus submit->applied
+// latency percentiles (p50/p99), the queue high-water mark, and the
+// peak staged footprint.
 //
 // Each configuration first runs a correctness pass: N producers submit
 // a fixed update set concurrently and the drained snapshot must be
 // BIT-IDENTICAL to a one-shot core::spkadd over the same updates. The
 // update values are quantized to small integers so double addition is
-// exact and the comparison is exact regardless of how producers,
-// workers and shard folds interleaved (see src/service/shard.hpp).
+// exact and the comparison is exact regardless of how producers and
+// workers interleaved. The exit code is nonzero on any mismatch.
 //
-//   ./bench/bench_service --shards 1,2,4 --producers 2 --duration-ms 200
+//   ./bench/bench_service --workers 1,2 --producers 2 --duration-ms 200
 //   ./bench/bench_service --rate 500 --burst 1,8 --json samples.json
 #include <atomic>
 #include <cstdio>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,13 +28,14 @@
 #include "bench_common.hpp"
 #include "gen/workload.hpp"
 #include "obs/metrics.hpp"
-#include "service/agg_service.hpp"
+#include "service/windowed_service.hpp"
 #include "util/cli.hpp"
 #include "util/thread_control.hpp"
 #include "util/timer.hpp"
 
 using namespace spkadd;
 using Csc = CscMatrix<std::int32_t, double>;
+using Service = service::WindowedAggService;
 
 namespace {
 
@@ -58,21 +62,20 @@ std::string rate_str(double per_sec) {
 int main(int argc, char** argv) {
   util::CliParser cli(
       "bench_service",
-      "aggregation-service loadgen: shards x producers x batch_window");
+      "aggregation-service loadgen: workers x producers x batch_window");
   const auto* rows = cli.add_int("rows", 1 << 13, "update rows");
   const auto* cols = cli.add_int("cols", 32, "update cols");
   const auto* d = cli.add_int("d", 4, "avg nonzeros per column per update");
   const auto* updates =
       cli.add_int("updates", 24, "updates per producer (verify pass)");
-  const auto* shards = cli.add_int_list("shards", "1,2,4", "shard sweep");
+  const auto* workers =
+      cli.add_int_list("workers", "1,2", "worker-thread sweep");
   const auto* producers = cli.add_int_list(
       "producers", "2", "producer-thread sweep (0 = OpenMP max threads)");
   const auto* windows =
       cli.add_int_list("batch-window", "4", "accumulator fold window sweep");
   const auto* bursts = cli.add_int_list(
-      "burst", "8", "producer burst-buffer size sweep (1 = per-update)");
-  const auto* flush_deadline_us = cli.add_int(
-      "flush-deadline-us", 500, "max microseconds an update may sit staged");
+      "burst", "8", "max updates a worker pops and folds at once (sweep)");
   const auto* duration_ms =
       cli.add_int("duration-ms", 200, "throughput pass duration");
   const auto* queue = cli.add_int("queue", 64, "ingest queue capacity");
@@ -80,17 +83,14 @@ int main(int argc, char** argv) {
       "queue-high", 0, "throttle watermark (0 = queue capacity)");
   const auto* queue_low = cli.add_int(
       "queue-low", 0, "release watermark (0 = 3/4 of the high watermark)");
-  const auto* pin = cli.add_flag(
-      "pin", "pin worker i to CPU i (thread/shard affinity for scaling runs)");
-  const auto* workers = cli.add_int("workers", 0, "worker threads (0=shards)");
   const auto* rate = cli.add_int(
       "rate", 0, "per-producer target updates/s (0 = saturation)");
   const auto* fold_threads = cli.add_int(
       "fold-threads", 1,
-      "OpenMP threads per shard fold (worker concurrency is the axis "
-      "under test, so per-fold column parallelism defaults off)");
+      "OpenMP threads per fold (worker concurrency is the axis under "
+      "test, so per-fold column parallelism defaults off)");
   const auto* method_flag = cli.add_string(
-      "method", "auto", "shard fold method (auto, hash, hybrid, ...)");
+      "method", "auto", "fold method (auto, hash, hybrid, ...)");
   const auto* metrics_flag = cli.add_string(
       "metrics", "on",
       "attach a metrics registry: on|off (the overhead-gate axis — "
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ServiceConfig's knobs are size_t: a negative flag would wrap to a
+  // The service's knobs are size_t: a negative flag would wrap to a
   // huge value that sails past validate(), so bound-check here.
   const auto positive = [](const char* name, std::int64_t v) {
     if (v < 1) {
@@ -124,18 +124,16 @@ int main(int argc, char** argv) {
   };
   if (!positive("rows", *rows) || !positive("cols", *cols) ||
       !positive("d", *d) || !positive("updates", *updates) ||
-      !positive("queue", *queue) || !positive("duration-ms", *duration_ms) ||
-      !positive("flush-deadline-us", *flush_deadline_us))
+      !positive("queue", *queue) || !positive("duration-ms", *duration_ms))
     return 1;
-  if (*workers < 0 || *rate < 0 || *fold_threads < 0 || *queue_high < 0 ||
-      *queue_low < 0) {
-    std::cerr << "bench_service: --workers/--rate/--fold-threads/"
+  if (*rate < 0 || *fold_threads < 0 || *queue_high < 0 || *queue_low < 0) {
+    std::cerr << "bench_service: --rate/--fold-threads/"
                  "--queue-high/--queue-low must be >= 0\n";
     return 1;
   }
   for (const auto& [name, list] :
        {std::pair<const char*, const std::vector<std::int64_t>*>{
-            "shards", shards},
+            "workers", workers},
         {"batch-window", windows},
         {"burst", bursts}})
     for (const std::int64_t v : *list)
@@ -147,16 +145,14 @@ int main(int argc, char** argv) {
     }
 
   bench::print_header(
-      "Sharded aggregation service loadgen",
+      "Aggregation service loadgen (one unbounded bucket)",
       "sustained multi-producer ingest over the streaming accumulator");
   bench::SampleLog log("bench_service");
 
   bool all_verified = true;
-  util::TablePrinter table({"pattern", "shards", "prod", "window", "burst",
-                            "upd/s", "Mnnz/s", "p50 ms", "p99 ms", "avg bst",
-                            "thr ms", "drops", "queue hw",
-                            "chunks h/s/H/W/D",
-                            "exact"});
+  util::TablePrinter table({"pattern", "workers", "prod", "window", "burst",
+                            "upd/s", "Mnnz/s", "p50 ms", "p99 ms",
+                            "queue hw", "chunks h/s/H/W/D", "exact"});
 
   for (const gen::Pattern pattern : {gen::Pattern::ER, gen::Pattern::RMAT}) {
     const char* pname = pattern == gen::Pattern::ER ? "ER" : "RMAT";
@@ -182,25 +178,21 @@ int main(int argc, char** argv) {
       for (auto& u : all_updates) quantize_values(u);
       std::cerr << "generated " << spec.describe() << "\n";
       const Csc expected = core::spkadd(all_updates);
-      std::size_t set_nnz = 0;
-      for (const auto& u : all_updates) set_nnz += u.nnz();
 
-      for (const std::int64_t S : *shards) {
+      for (const std::int64_t Wk : *workers) {
         for (const std::int64_t W : *windows) {
          for (const std::int64_t B : *bursts) {
-          service::ServiceConfig cfg;
-          cfg.shards = static_cast<std::size_t>(S);
-          cfg.workers = static_cast<std::size_t>(*workers);
+          Service::Config cfg;
+          cfg.window.bucket_width = std::numeric_limits<std::uint64_t>::max();
+          cfg.window.live_buckets = 1;
+          cfg.window.batch_window = static_cast<std::size_t>(W);
+          cfg.window.options.threads = static_cast<int>(*fold_threads);
+          cfg.window.options.method = fold_method;
+          cfg.workers = static_cast<std::size_t>(Wk);
           cfg.queue_capacity = static_cast<std::size_t>(*queue);
-          cfg.batch_window = static_cast<std::size_t>(W);
           cfg.burst_size = static_cast<std::size_t>(B);
-          cfg.flush_deadline_us =
-              static_cast<std::size_t>(*flush_deadline_us);
           cfg.queue_high_watermark = static_cast<std::size_t>(*queue_high);
           cfg.queue_low_watermark = static_cast<std::size_t>(*queue_low);
-          cfg.pin_threads = *pin;
-          cfg.options.threads = static_cast<int>(*fold_threads);
-          cfg.options.method = fold_method;
           // Fresh registry per configuration so sequential sweeps never
           // pollute each other's samples; off = nullptr disables every
           // collector registration.
@@ -210,48 +202,46 @@ int main(int argc, char** argv) {
           // --- correctness pass: concurrent ingest == one-shot spkadd.
           bool exact = false;
           {
-            service::AggService svc(cfg);
+            Service svc(cfg);
             std::vector<std::thread> threads;
             for (std::int64_t p = 0; p < P; ++p)
               threads.emplace_back([&, p] {
                 for (std::int64_t i = 0; i < *updates; ++i)
-                  svc.submit("bench", all_updates[static_cast<std::size_t>(
-                                          p * *updates + i)]);
+                  svc.submit("bench", 0,
+                             Csc(all_updates[static_cast<std::size_t>(
+                                 p * *updates + i)]));
               });
             for (auto& t : threads) t.join();
             svc.drain();
-            exact = svc.snapshot("bench").sum == expected;
+            exact = svc.snapshot("bench", 0).sum == expected;
           }
           all_verified = all_verified && exact;
           if (!exact)
-            std::cerr << "MISMATCH: shards=" << S << " producers=" << P
+            std::cerr << "MISMATCH: workers=" << Wk << " producers=" << P
                       << " window=" << W << " is not bit-identical to "
                       << "one-shot spkadd\n";
 
-          // --- throughput pass: open-loop ingest for --duration-ms.
-          service::AggService svc(cfg);
+          // --- throughput pass: ingest for --duration-ms.
+          Service svc(cfg);
           util::WallTimer wall;
           const double duration = static_cast<double>(*duration_ms) * 1e-3;
-          std::atomic<std::uint64_t> drops{0};
+          std::atomic<std::uint64_t> submitted_nnz{0};
           std::vector<std::thread> threads;
           for (std::int64_t p = 0; p < P; ++p)
             threads.emplace_back([&, p] {
               util::WallTimer t;
               std::size_t i = 0;
+              std::uint64_t nnz = 0;
               const std::size_t n = all_updates.size();
               const std::size_t base = static_cast<std::size_t>(p * *updates);
               while (t.seconds() < duration) {
                 Csc u = all_updates[(base + i++) % n];
-                if (*rate <= 0) {
-                  svc.submit("bench", std::move(u));  // saturation mode
-                  continue;
-                }
-                // Fixed arrival schedule; a saturated ingest path drops
-                // the update (counted here) instead of slipping the
-                // clock — that keeps offered load matched across
-                // configurations when comparing their p99.
-                if (!svc.try_submit("bench", std::move(u)))
-                  drops.fetch_add(1, std::memory_order_relaxed);
+                nnz += u.nnz();
+                svc.submit("bench", 0, std::move(u));
+                if (*rate <= 0) continue;  // saturation mode
+                // Fixed arrival schedule, far below saturation, so the
+                // blocking submit never throttles and offered load stays
+                // matched across configurations when comparing p99.
                 const double next = static_cast<double>(i) /
                                     static_cast<double>(*rate);
                 const double sleep_s = next - t.seconds();
@@ -259,56 +249,48 @@ int main(int argc, char** argv) {
                   std::this_thread::sleep_for(
                       std::chrono::duration<double>(sleep_s));
               }
+              submitted_nnz.fetch_add(nnz, std::memory_order_relaxed);
             });
           for (auto& t : threads) t.join();
           svc.drain();
           const double elapsed = wall.seconds();
           const auto st = svc.stats();
+          const service::WindowStats ws =
+              st.tenants.empty() ? service::WindowStats{}
+                                 : st.tenants[0].second;
 
-          const double upd_s =
-              static_cast<double>(st.applied) / elapsed;
-          std::uint64_t folded = 0;
-          std::size_t peak_staged = 0;
+          const double upd_s = static_cast<double>(st.applied) / elapsed;
+          const double nnz_s =
+              static_cast<double>(submitted_nnz.load()) / elapsed;
           core::OpCounters chunk_totals;
-          for (const auto& sh : st.shards) {
-            folded += sh.folded_nnz;
-            peak_staged = std::max(peak_staged, sh.peak_staged_nnz);
-            chunk_totals.chunks_heap += sh.chunks_heap;
-            chunk_totals.chunks_spa += sh.chunks_spa;
-            chunk_totals.chunks_hash += sh.chunks_hash;
-            chunk_totals.chunks_sliding += sh.chunks_sliding;
-            chunk_totals.chunks_dense += sh.chunks_dense;
-          }
-          const double nnz_s = static_cast<double>(folded) / elapsed;
+          chunk_totals.chunks_heap = ws.chunks_heap;
+          chunk_totals.chunks_spa = ws.chunks_spa;
+          chunk_totals.chunks_hash = ws.chunks_hash;
+          chunk_totals.chunks_sliding = ws.chunks_sliding;
+          chunk_totals.chunks_dense = ws.chunks_dense;
           const std::string mix = fold_method == core::Method::Hybrid
                                       ? chunk_totals.chunk_mix()
                                       : "-";
 
-          char avg_bst[32];
-          std::snprintf(avg_bst, sizeof(avg_bst), "%.1f",
-                        st.ingest.avg_burst());
           const std::string config =
-              "pattern=" + std::string(pname) + " shards=" +
-              std::to_string(S) + " producers=" + std::to_string(P) +
+              "pattern=" + std::string(pname) + " workers=" +
+              std::to_string(Wk) + " producers=" + std::to_string(P) +
               " window=" + std::to_string(W) + " burst=" +
               std::to_string(B) + " rate=" + std::to_string(*rate) +
-              " pin=" + (*pin ? "1" : "0") +
               " method=" + core::method_name(fold_method) +
               " metrics=" + *metrics_flag;
-          table.add_row({pname, std::to_string(S), std::to_string(P),
+          table.add_row({pname, std::to_string(Wk), std::to_string(P),
                          std::to_string(W), std::to_string(B),
                          rate_str(upd_s), rate_str(nnz_s / 1e6),
-                         ms(st.latency.p50), ms(st.latency.p99), avg_bst,
-                         ms(st.ingest.throttle_seconds),
-                         *rate > 0 ? std::to_string(drops.load()) : "-",
+                         ms(st.latency.p50), ms(st.latency.p99),
                          std::to_string(st.queue_high_water), mix,
                          exact ? "yes" : "NO"});
           log.add("service/" + std::string(pname) + "/ingest", config,
                   st.applied ? elapsed / static_cast<double>(st.applied)
                              : 0.0,
-                  peak_staged);
+                  ws.peak_staged_nnz);
           log.add("service/" + std::string(pname) + "/p99", config,
-                  st.latency.p99, peak_staged);
+                  st.latency.p99, ws.peak_staged_nnz);
          }
         }
       }

@@ -28,10 +28,10 @@
 #   BUILD_DIR=build   build tree holding the bench binaries (configured and
 #                     built here when the binaries are missing)
 #   SERVICE_THREADS=N run ONLY the service sweep, sized for a multi-core
-#                     scaling leg: N producers/workers with thread/shard
-#                     affinity pinning and a fixed per-producer arrival
-#                     rate (matched offered load across the shard sweep),
-#                     written to BENCH_service_t${N}.json. The CI
+#                     scaling leg: N producers and 1 vs N workers at a
+#                     fixed per-producer arrival rate (matched offered
+#                     load across the worker sweep), written to
+#                     BENCH_service_t${N}.json. The CI
 #                     bench-service-scaling matrix fans this out over
 #                     thread counts; all other benches are skipped.
 set -euo pipefail
@@ -82,22 +82,20 @@ merge_benches() {
 }
 
 # Multi-core scaling leg: service sweep only, N producer threads at a
-# fixed arrival rate so the p99-vs-shards comparison holds offered load
-# constant, with worker/CPU affinity pinning. Burst 1 vs 8 puts the
-# pre-burst ingest path and the batched one side by side in one file.
-# The flush deadline is dropped to 100us because the offered
-# inter-arrival (500us at --rate 2000) matches the default 500us
-# deadline, which would make buffer residence - not queue/fold time -
-# the whole p99.
+# fixed arrival rate (1-3% of the saturation rate, so the blocking
+# submit never throttles) so the p99-vs-workers comparison holds
+# offered load constant. Worker pop bursts of 1 vs 8 put per-update and
+# grouped folding side by side in one file.
 if [ -n "$SERVICE_THREADS" ]; then
   SCALING_OUT="BENCH_service_t${SERVICE_THREADS}.json"
   export OMP_NUM_THREADS="$SERVICE_THREADS"
+  workers=1
+  if [ "$SERVICE_THREADS" -gt 1 ]; then workers="1,$SERVICE_THREADS"; fi
   echo "=== bench_service scaling leg (threads=$SERVICE_THREADS) ==="
   "$BUILD_DIR/bench/bench_service" \
     --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 2000 \
-    --shards 1,2,4 --producers "$SERVICE_THREADS" \
-    --workers "$SERVICE_THREADS" --burst 1,8 --rate 2000 \
-    --flush-deadline-us 100 --pin \
+    --workers "$workers" --producers "$SERVICE_THREADS" \
+    --burst 1,8 --rate 2000 \
     --json "$tmp/service_scaling.json" > "$tmp/service_scaling.txt"
   cat "$tmp/service_scaling.txt"
   merge_benches "$SCALING_OUT" "$tmp/service_scaling.json"
@@ -122,7 +120,7 @@ echo "=== bench_fig6_summa (small shape) ==="
 echo "=== bench_service (small sweep) ==="
 "$BUILD_DIR/bench/bench_service" \
   --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 150 \
-  --shards 1,2,4 --producers 2 --burst 1,8 \
+  --workers 1,2 --producers 2 --burst 1,8 \
   --json "$tmp/service.json" > "$tmp/service.txt"
 # Hybrid skew sweep: exits nonzero when any method result is not
 # bit-identical to Hash, so correctness gates the run like the others.
@@ -161,7 +159,7 @@ for mode in on off; do
   for rep in 1 2 3; do
     "$BUILD_DIR/bench/bench_service" \
       --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 300 \
-      --shards 2 --producers 2 --burst 8 --metrics "$mode" \
+      --workers 2 --producers 2 --burst 8 --metrics "$mode" \
       --json "$tmp/obs_${mode}_${rep}.json" > "$tmp/obs_${mode}_${rep}.txt"
   done
 done

@@ -23,7 +23,7 @@ fi
 
 # Flags registered in source. Registrations can wrap across lines
 # (clang-format), so flatten each file before matching
-#   add_int("rows", ...) / add_flag( "pin", ...) / add_int_list("shards",
+#   add_int("rows", ...) / add_flag( "enforce", ...) / add_int_list("workers",
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 git ls-files -co --exclude-standard '*.cpp' '*.hpp' | while read -r f; do

@@ -1,8 +1,7 @@
 // Lock-free log-scale histogram — the one histogram implementation in
-// the tree. service::LatencyHistogram (service/service_stats.hpp) is an
-// alias of this type, and obs::MetricsRegistry exports registered
-// instances as full cumulative Prometheus histograms through the public
-// bucket-iteration API below.
+// the tree. obs::MetricsRegistry exports registered instances as full
+// cumulative Prometheus histograms through the public bucket-iteration
+// API below.
 //
 // Thread-safety contract: record() is lock-free (relaxed atomics) and
 // safe from any thread concurrently with summary() /

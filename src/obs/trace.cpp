@@ -48,10 +48,10 @@ OpTrace Tracer::begin_op() {
 }
 
 Tracer::Ring& Tracer::local_ring() {
-  // Same pattern as AggService's burst buffers: a thread_local cache of
-  // weak_ptrs keyed by owner, so one thread serving several Tracer
-  // instances (tests) keeps them apart, and a destroyed Tracer's rings
-  // die with it instead of dangling in the cache.
+  // A thread_local cache of weak_ptrs keyed by owner, so one thread
+  // serving several Tracer instances (tests) keeps them apart, and a
+  // destroyed Tracer's rings die with it instead of dangling in the
+  // cache.
   static thread_local std::map<const Tracer*, std::weak_ptr<Ring>> cache;
   auto& slot = cache[this];
   if (auto ring = slot.lock()) return *ring;

@@ -30,7 +30,7 @@ enum class Stage : std::uint8_t {
   kWireDecode,    ///< SPKN frame decode on the daemon poll loop
   kBurstEnqueue,  ///< submit_burst staging + queue push
   kQueueWait,     ///< enqueue -> worker pop
-  kShardFold,     ///< fold into the tenant window / shard accumulator
+  kShardFold,     ///< fold into the tenant window
   kSnapshot,      ///< snapshot assembly
   kOther,
 };

@@ -5,9 +5,28 @@
 #include <vector>
 
 #include "core/spkadd.hpp"
-#include "service/service_config.hpp"
 
 namespace spkadd::service {
+
+namespace {
+
+/// Whether `method` refuses unsorted columns (merge-family kernels,
+/// paper Table I). Hybrid is safe either way: its per-chunk plan only
+/// picks the heap kernel when inputs_sorted is declared.
+bool method_requires_sorted(core::Method method) {
+  switch (method) {
+    case core::Method::TwoWayIncremental:
+    case core::Method::TwoWayTree:
+    case core::Method::Heap:
+    case core::Method::ReferenceIncremental:
+    case core::Method::ReferenceTree:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 void WindowConfig::validate() const {
   if (bucket_width < 1)
@@ -47,7 +66,15 @@ bool TenantWindow::submit(std::uint64_t ts, Matrix&& update) {
   }
   if (!have_any_ || id > newest_id_) rotate_to(id);
   Bucket& bucket = bucket_for(id);
-  bucket.acc.add(std::move(update));
+  // Backstop for a fold that throws anyway (e.g. allocation failure):
+  // drop the bucket's staged batch so later folds and snapshots do not
+  // re-throw on it. The running sum keeps its last consistent value.
+  try {
+    bucket.acc.add(std::move(update));
+  } catch (...) {
+    bucket.acc.discard_staged();
+    throw;
+  }
   ++bucket.updates;
   ++accepted_;
   return true;

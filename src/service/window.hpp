@@ -112,6 +112,9 @@ class TenantWindow {
   /// Returns false — and counts the update in expired_rejected — when
   /// ts falls before the oldest live bucket; an expired update is never
   /// folded. Throws std::invalid_argument on a non-conformant update.
+  /// When the fold this submit triggers throws, the bucket's staged
+  /// batch (this update included) is discarded before the rethrow, so
+  /// the window stays usable.
   bool submit(std::uint64_t ts, Matrix&& update);
 
   /// Fold the newest `window_buckets` live buckets (0 = the whole live

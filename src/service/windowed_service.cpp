@@ -98,11 +98,12 @@ std::size_t WindowedAggService::submit_burst(
     tenant_for(u.tenant, u.update.rows(), u.update.cols());
 
   obs::Tracer* const tracer = config_.tracer;
+  const std::uint64_t submit_ns = obs::Tracer::now_ns();
   const std::uint64_t enqueue_start =
-      tracer != nullptr && tracer->enabled() ? obs::Tracer::now_ns() : 0;
+      tracer != nullptr && tracer->enabled() ? submit_ns : 0;
   std::vector<Task> tasks;
   tasks.reserve(burst.size());
-  for (auto& u : burst) tasks.push_back(Task{std::move(u), 0, 0});
+  for (auto& u : burst) tasks.push_back(Task{std::move(u), 0, 0, submit_ns});
   burst.clear();
   if (enqueue_start != 0) {
     // Close the burst-enqueue span before the tasks are moved into the
@@ -171,6 +172,7 @@ void WindowedAggService::apply_burst(std::vector<Task>& burst) {
   std::uint64_t n_expired = 0;
   std::uint64_t n_errors = 0;
   obs::Tracer* const tracer = config_.tracer;
+  const bool require_sorted = config_.window.options.inputs_sorted;
   const std::uint64_t fold_start = obs::Tracer::now_ns();
   for (auto& g : groups) {
     Tenant* t = find_tenant(*g.first);
@@ -187,11 +189,23 @@ void WindowedAggService::apply_burst(std::vector<Task>& burst) {
       const std::uint64_t submit_start =
           trace.active() ? obs::Tracer::now_ns() : 0;
       try {
+        // Validate BEFORE staging: the config declares inputs sorted to
+        // the kernels (merge methods throw on unsorted columns, sliding
+        // hash row-slices by binary search), so an unsorted update is
+        // invalid traffic. Rejecting it here keeps it out of the
+        // bucket's staged batch, where it would make every later fold
+        // and snapshot of the tenant throw.
+        if (require_sorted && !burst[i].item.update.is_sorted())
+          throw std::invalid_argument(
+              "update has unsorted columns but options.inputs_sorted is "
+              "set");
         if (t->window.submit(burst[i].item.timestamp,
-                             std::move(burst[i].item.update)))
+                             std::move(burst[i].item.update))) {
           ++n_applied;
-        else
+          latency_.record(obs::Tracer::now_ns() - burst[i].submit_ns);
+        } else {
           ++n_expired;  // counted in the window too, never folded
+        }
       } catch (const std::exception& e) {
         ++n_errors;
         std::cerr << "WindowedAggService: dropped update for tenant '"
@@ -268,6 +282,7 @@ WindowedServiceStats WindowedAggService::stats() const {
   out.queue_high_water = queue_.high_water();
   out.bursts = bursts_.load(std::memory_order_relaxed);
   out.burst_updates = burst_updates_.load(std::memory_order_relaxed);
+  out.latency = latency_.summary();
   std::shared_lock tenants_lock(tenants_mutex_);
   for (const auto& [name, t] : tenants_) {
     std::lock_guard<std::mutex> g(t->mutex);
@@ -287,7 +302,7 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
                "Updates accepted by submit() and handed to the queue",
                svc, d(st.submitted));
   sink.counter("spkadd_service_applied_total",
-               "Updates fully folded into their shards", svc,
+               "Updates folded into a window bucket", svc,
                d(st.applied));
   sink.counter("spkadd_service_expired_total",
                "Updates rejected as expired at fold time", svc,
@@ -296,8 +311,8 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
                "Updates refused (service stopped or queue closed)", svc,
                d(st.rejected));
   sink.counter("spkadd_service_apply_errors_total",
-               "Updates dropped by a throwing fold", svc,
-               d(st.apply_errors));
+               "Updates dropped at fold time (unsorted or a throwing fold)",
+               svc, d(st.apply_errors));
   sink.counter("spkadd_service_snapshots_total",
                "Windowed snapshots assembled", svc, d(st.snapshots));
   sink.gauge("spkadd_queue_depth", "Current ingest queue backlog", svc,
@@ -312,6 +327,9 @@ void WindowedAggService::export_metrics(obs::CollectorSink& sink) const {
   sink.counter("spkadd_queue_throttle_seconds_total",
                "Total producer time spent throttled", svc,
                queue_.throttle_seconds());
+  sink.histogram("spkadd_submit_latency_seconds",
+                 "Submit-to-applied latency", svc, latency_,
+                 obs::Unit::kSeconds);
   sink.histogram("spkadd_fold_seconds",
                  "Wall time folding one popped burst into windows", svc,
                  fold_hist_, obs::Unit::kSeconds);

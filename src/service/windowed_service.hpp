@@ -14,27 +14,33 @@
 //                                     (mutex + one Accumulator
 //                                      epoch per live time bucket)
 //
-// Ingest reuses the burst-batched MPMC spine of AggService
-// (util::BoundedMpmcQueue push_burst/pop_burst with watermark
-// hysteresis): producers — the daemon's poll loop above all — enqueue a
-// whole burst of timestamped updates with one queue-lock acquisition,
-// and workers fold a popped burst's updates grouped per tenant with one
-// tenant-lock acquisition per (burst, tenant).
+// Ingest is burst-batched (util::BoundedMpmcQueue push_burst/pop_burst
+// with watermark hysteresis): producers — the daemon's poll loop above
+// all — enqueue a whole burst of timestamped updates with one
+// queue-lock acquisition, and workers fold a popped burst's updates
+// grouped per tenant with one tenant-lock acquisition per
+// (burst, tenant).
+//
+// Plain running sums (the paper's §V gradient aggregation) are the
+// one-bucket case: WindowConfig{bucket_width = UINT64_MAX,
+// live_buckets = 1} puts every timestamp in bucket 0, nothing ever
+// expires, and snapshot(tenant, 0) returns that bucket's running sum.
 //
 // Thread-safety contract: every public method is safe to call from any
 // thread, concurrently with every other. Internally each tenant's
 // TenantWindow is guarded by its own mutex (folds and snapshots of
-// different tenants never contend) and the tenant registry by a
-// shared_mutex. drain()/stop() use the same per-burst ticket accounting
-// as AggService, so a drain covers exactly the updates accepted before
-// it.
+// different tenants never contend; an update lands whole under it, so
+// a snapshot never sees part of one) and the tenant registry by a
+// shared_mutex. drain()/stop() use per-burst ticket accounting, so a
+// drain covers exactly the updates accepted before it.
 //
 // Bit-identity guarantee: worker folds and snapshot assembly go through
 // the same strict-left-fold SpKAdd paths as TenantWindow documents, so
 // snapshot(tenant, w) is bit-identical to a single-threaded reference
 // fold of the live buckets — exactly (independent of producer/worker
 // interleaving) whenever value addition is exact, e.g. integer-valued
-// updates. bench/bench_daemon.cpp re-verifies this over live sockets.
+// updates. bench/bench_daemon.cpp re-verifies this over live sockets,
+// bench/bench_service.cpp against one-shot spkadd.
 #pragma once
 
 #include <atomic>
@@ -50,9 +56,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "service/service_stats.hpp"
 #include "service/window.hpp"
 #include "util/mpmc_queue.hpp"
 
@@ -64,12 +70,16 @@ struct WindowedServiceStats {
   std::uint64_t applied = 0;    ///< updates folded into a bucket
   std::uint64_t expired = 0;    ///< updates rejected as expired at fold
   std::uint64_t rejected = 0;   ///< updates refused (service stopped)
-  std::uint64_t apply_errors = 0;  ///< updates dropped by a failing fold
+  /// Updates dropped at fold time: unsorted columns under
+  /// options.inputs_sorted, or a fold that threw. The service keeps
+  /// serving, and drain() counts these as progressed.
+  std::uint64_t apply_errors = 0;
   std::uint64_t snapshots = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_high_water = 0;
   std::uint64_t bursts = 0;         ///< burst enqueues into the queue
   std::uint64_t burst_updates = 0;  ///< updates across those bursts
+  obs::LatencySummary latency;      ///< submit -> applied
   /// Per-tenant window counters, keyed by tenant name.
   std::vector<std::pair<std::string, WindowStats>> tenants;
 };
@@ -180,6 +190,7 @@ class WindowedAggService {
     TimedUpdate item;
     std::uint64_t ticket = 0;   ///< acceptance order; drives drain()
     std::uint64_t enqueue_ns = 0;  ///< queue-wait span start (tracing)
+    std::uint64_t submit_ns = 0;   ///< submit_burst entry (latency)
   };
 
   struct Tenant {
@@ -207,9 +218,9 @@ class WindowedAggService {
   std::atomic<bool> stopped_{false};
   std::once_flag stop_once_;
 
-  // Progress accounting (the AggService ticket pattern): tickets are
-  // issued per accepted burst and retired per folded burst, all under
-  // progress_mutex_, so drain() waits on exactly its cutoff.
+  // Progress accounting: tickets are issued per accepted burst and
+  // retired per folded burst, all under progress_mutex_, so drain()
+  // waits on exactly its cutoff.
   mutable std::mutex progress_mutex_;
   std::condition_variable progress_cv_;
   std::uint64_t next_ticket_ = 1;
@@ -225,8 +236,9 @@ class WindowedAggService {
 
   // Per-instance histograms (lock-free recording), exported through the
   // scrape-time collector below.
-  LatencyHistogram fold_hist_;   ///< per-burst fold wall time, ns
-  LatencyHistogram burst_hist_;  ///< updates per accepted burst
+  obs::LogHistogram latency_;      ///< submit -> applied, ns
+  obs::LogHistogram fold_hist_;    ///< per-burst fold wall time, ns
+  obs::LogHistogram burst_hist_;   ///< updates per accepted burst
 
   /// Exports every counter above plus per-tenant window stats.
   void export_metrics(obs::CollectorSink& sink) const;

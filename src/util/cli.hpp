@@ -54,7 +54,7 @@ class CliParser {
   const bool* add_flag(const std::string& name, const std::string& help);
   const std::string* add_string(const std::string& name, std::string def,
                                 const std::string& help);
-  /// Comma-separated integer list (e.g. `--shards 1,2,4`) — the sweep
+  /// Comma-separated integer list (e.g. `--workers 1,2,4`) — the sweep
   /// axes of the service loadgen. The default is given in the same
   /// comma-separated form; a malformed default throws
   /// std::invalid_argument at registration (a programming error).

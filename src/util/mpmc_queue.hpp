@@ -143,23 +143,6 @@ class BoundedMpmcQueue {
     return true;
   }
 
-  /// Non-blocking all-or-nothing burst enqueue: either every item is
-  /// admitted (items comes back empty) or none is (items untouched).
-  [[nodiscard]] bool try_push_burst(std::vector<T>& items) {
-    if (items.empty()) return true;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || !admissible_locked() ||
-          items.size() > cap_ - items_.size())
-        return false;
-      for (auto& item : items) items_.push_back(std::move(item));
-      after_push_locked();
-    }
-    not_empty_.notify_all();
-    items.clear();
-    return true;
-  }
-
   /// Dequeue, blocking while empty. Returns nullopt only once the queue
   /// is closed and fully drained.
   std::optional<T> pop() {

@@ -1,5 +1,4 @@
-// Thin RAII control over the OpenMP thread count, plus best-effort CPU
-// affinity pinning for the service's worker threads.
+// Thin RAII control over the OpenMP thread count.
 //
 // The strong-scaling bench (Fig. 3) sweeps thread counts; tests pin a known
 // count so results are deterministic. omp_set_num_threads is process-global,
@@ -18,13 +17,6 @@ void set_num_threads(int n);
 
 /// Logical CPUs available to this process (never returns 0).
 [[nodiscard]] std::size_t online_cpu_count();
-
-/// Best-effort: pin the CALLING thread to logical CPU `cpu % online`.
-/// Returns false where unsupported (non-Linux) or when the kernel
-/// refuses — callers must treat pinning as an optimization, never a
-/// correctness requirement. The aggregation service uses this to give
-/// its workers stable thread/shard affinity on multi-core scaling runs.
-bool pin_current_thread_to_cpu(std::size_t cpu);
 
 /// RAII guard: sets the thread count for the enclosing scope, restores the
 /// previous setting on destruction.

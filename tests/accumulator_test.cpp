@@ -11,7 +11,7 @@
 #include "core/batched.hpp"
 #include "gen/workload.hpp"
 #include "matrix/validate.hpp"
-#include "service/agg_service.hpp"
+#include "service/window.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -402,8 +402,8 @@ TEST(ResidentSum, UnsortedOutputHoldsTheSameBytesPerColumn) {
 TEST(ResidentSum, SortedMethodsKeepSortedPartialsUnderUnsortedOutput) {
   // The merge, heap and dense families emit sorted columns whatever
   // sorted_output says, so their partials stay byte-identical to one-shot
-  // and sorted, and a snapshot that adds shards' partials under such a
-  // method (which requires sorted inputs) still accepts them.
+  // and sorted, and a snapshot that adds window buckets' partials under
+  // such a method (which requires sorted inputs) still accepts them.
   const auto inputs = crossing_stream(gen::Pattern::RMAT, 67);
   for (const auto m :
        {Method::Heap, Method::TwoWayIncremental, Method::DenseAcc}) {
@@ -424,18 +424,28 @@ TEST(ResidentSum, SortedMethodsKeepSortedPartialsUnderUnsortedOutput) {
         << method_name(m);
   }
 
-  service::ServiceConfig cfg;
-  cfg.shards = 2;
-  cfg.workers = 1;
-  cfg.options.method = Method::Heap;
-  cfg.options.sorted_output = false;
-  service::AggService svc(cfg);
-  for (const auto& u : inputs) EXPECT_TRUE(svc.submit("t", u));
-  svc.drain();
-  const auto snap = svc.snapshot("t");
-  EXPECT_TRUE(snap.sum.is_sorted());
-  EXPECT_TRUE(snap.sum ==
-              one_shot_prefix(inputs, inputs.size(), cfg.options));
+  // A window snapshot adds four bucket partials under Heap, which
+  // requires sorted inputs: the partials must qualify, and the sum
+  // equals the one-shot sum of the per-bucket one-shot sums.
+  service::WindowConfig wcfg;
+  wcfg.bucket_width = 1;
+  wcfg.live_buckets = 4;
+  wcfg.batch_window = 3;
+  wcfg.options.method = Method::Heap;
+  wcfg.options.sorted_output = false;
+  service::TenantWindow window(256, 16, wcfg);
+  std::vector<Csc> bucket_sums;
+  const std::size_t per_bucket = inputs.size() / 4;
+  for (std::size_t b = 0; b < 4; ++b) {
+    const auto slice =
+        std::span<const Csc>(inputs).subspan(b * per_bucket, per_bucket);
+    for (const auto& u : slice) EXPECT_TRUE(window.submit(b, Csc(u)));
+    bucket_sums.push_back(core::spkadd(slice, wcfg.options));
+  }
+  const Csc snap = window.snapshot();
+  EXPECT_EQ(window.stats().live_buckets, 4u);
+  EXPECT_TRUE(snap.is_sorted());
+  EXPECT_TRUE(snap == core::spkadd(bucket_sums, wcfg.options));
 }
 
 TEST(ResidentSum, RejectedAddendLeavesSumAndSnapshotUntouched) {

@@ -187,7 +187,7 @@ TEST(HybridBitIdentity, MatchesEverySingleKernelMethodOnGrids) {
 TEST(HybridBitIdentity, MatchesReferenceFoldsOnQuantizedValues) {
   // The reference/tree folds associate differently, so bit-identity to
   // them is checked where addition is exact (integer-quantized values) —
-  // the same contract the sharded service pins.
+  // the same contract the aggregation service pins.
   for (const gen::Pattern p : {gen::Pattern::ER, gen::Pattern::RMAT}) {
     gen::WorkloadSpec spec;
     spec.pattern = p;

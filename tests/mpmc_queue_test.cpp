@@ -196,23 +196,6 @@ TEST(MpmcQueue, PushBurstHandsBackRemainderOnClose) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(MpmcQueue, TryPushBurstAllOrNothing) {
-  BoundedMpmcQueue<int> q(4);
-  std::vector<int> first{1, 2, 3};
-  EXPECT_TRUE(q.try_push_burst(first));
-  EXPECT_TRUE(first.empty());
-  std::vector<int> second{4, 5};  // only one slot free: must not split
-  EXPECT_FALSE(q.try_push_burst(second));
-  EXPECT_EQ(second, (std::vector<int>{4, 5}));  // untouched on failure
-  EXPECT_EQ(q.size(), 3u);
-  (void)q.pop();
-  EXPECT_TRUE(q.try_push_burst(second));  // two slots free now
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-  EXPECT_EQ(q.pop().value(), 4);
-  EXPECT_EQ(q.pop().value(), 5);
-}
-
 // Hysteresis: admission shuts off at the high watermark and does NOT
 // come back until the depth falls to the low watermark — a queue
 // hovering between the two stays closed to producers.

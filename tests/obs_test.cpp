@@ -242,6 +242,26 @@ TEST(LogHistogram, SummaryQuantilesNeverExceedMax) {
   EXPECT_LE(s.p50, s.p99);
 }
 
+TEST(LogHistogram, QuantilesClampedToRecordedMax) {
+  // The top occupied bucket's upper bound can exceed every recorded
+  // value (log buckets are up to 12.5% wide); a reported p99 above the
+  // true max is a lie operators will chase. Quantiles must clamp.
+  LogHistogram h;
+  h.record(1'000'000'001);  // 1.000000001 s; its bucket tops out higher
+  const LatencySummary s = h.summary();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_DOUBLE_EQ(s.max, 1.000000001);
+  EXPECT_DOUBLE_EQ(s.p50, s.max);
+  EXPECT_DOUBLE_EQ(s.p99, s.max);
+  // Quantiles landing in lower buckets stay bucket-quantized but can
+  // never overshoot the maximum either.
+  h.record(1000);
+  const LatencySummary s2 = h.summary();
+  EXPECT_EQ(s2.count, 2u);
+  EXPECT_LE(s2.p50, s2.p99);
+  EXPECT_LE(s2.p99, s2.max);
+}
+
 // -------------------------------------------------------------- tracer
 TEST(Tracer, DisabledTracerIsInactive) {
   Tracer tracer;  // default config: disabled

@@ -1,6 +1,7 @@
 // TenantWindow: bucket routing, O(1) expiry, windowed snapshot
 // bit-identity against reference folds, and the window-edge cases
-// (rotation-spanning snapshots, expired submits, bucket boundaries).
+// (rotation-spanning snapshots, expired submits, bucket boundaries),
+// and recovery from a fold that throws.
 #include "service/window.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "core/accumulator.hpp"
 #include "core/spkadd.hpp"
+#include "gen/workload.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -216,6 +218,27 @@ TEST(TenantWindow, OversizedWindowAndBadShapesThrow) {
       std::invalid_argument);
   // The failed submit left the counters untouched.
   EXPECT_EQ(w.stats().accepted, 1u);
+}
+
+TEST(TenantWindow, ThrowingFoldDiscardsTheStagedBatch) {
+  // A fold that throws (here: an unsorted addend under Heap) must not
+  // leave its batch staged, or every later fold and snapshot of the
+  // bucket re-throws. The batch is lost; the running sum and the
+  // window stay usable.
+  WindowConfig cfg;
+  cfg.batch_window = 2;
+  cfg.options.method = spkadd::core::Method::Heap;
+  TenantWindow w(kRows, kCols, cfg);
+  const Csc first = update(1), second = update(2), third = update(3);
+  EXPECT_TRUE(w.submit(0, Csc(first)));
+  EXPECT_TRUE(w.submit(0, Csc(second)));  // folds {first, second}
+  Csc unsorted = update(4);
+  spkadd::gen::shuffle_columns(unsorted, 5);
+  ASSERT_FALSE(unsorted.is_sorted());
+  EXPECT_TRUE(w.submit(0, Csc(third)));
+  EXPECT_THROW(w.submit(0, std::move(unsorted)), std::invalid_argument);
+  EXPECT_EQ(w.snapshot(), reference_fold(cfg, {{first, second}}));
+  EXPECT_EQ(w.stats().accepted, 3u);
 }
 
 TEST(TenantWindow, EmptyWindowSnapshotIsAllZero) {
