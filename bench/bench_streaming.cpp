@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   const auto* method_flag = cli.add_string(
       "method", "auto", "SpKAdd method (auto, hash, hybrid, ...)");
   const auto* schedule_flag = cli.add_string(
-      "schedule", "dynamic", "column schedule (dynamic|static|nnz-balanced)");
+      "schedule", core::schedule_name(core::Options{}.schedule),
+      "column schedule (dynamic|static|nnz-balanced)");
   const auto* json = cli.add_string("json", "", "write JSON samples here");
   if (!cli.parse(argc, argv)) return 1;
 

@@ -13,10 +13,10 @@
 # reference fold) lands in BENCH_daemon.json on the same schema.
 #
 # The metrics-overhead leg re-runs a matched bench_service config with
-# the obs registry attached (--metrics on) and detached (--metrics off),
-# 3 reps each, and FAILS when the best metrics-on rep is more than 3%
-# slower than the best metrics-off rep (the scrape-time-collector design
-# promises hot paths never touch the registry). Samples land in
+# the obs registry attached (--metrics on) and detached (--metrics off)
+# in 32 interleaved on/off pairs, and FAILS when the median per-pair
+# on/off cost ratio is more than 3% above 1 (the scrape-time-collector
+# design promises hot paths never touch the registry). Samples land in
 # BENCH_obs.json.
 #
 # The dense-kernel leg (bench_dense: SPA vs Hash vs DenseAcc across a
@@ -150,22 +150,28 @@ echo "=== bench_dense (density sweep) ==="
 cat "$tmp/dense.txt"
 
 # Metrics-overhead gate: the identical saturation config with the obs
-# registry attached vs detached, 3 reps each. Min-of-reps ingest
-# seconds-per-update (averaged over the run's patterns) is the score —
-# best-of filters scheduler noise, and the 3% budget is the promise the
-# collector design makes (ISSUE: metrics-enabled within 3% of off).
-echo "=== bench_service metrics-overhead gate (on vs off, 3 reps) ==="
-for mode in on off; do
-  for rep in 1 2 3; do
+# registry attached vs detached, in 32 interleaved on/off pairs (the
+# first run of each pair alternates). Each run's score is its ingest
+# seconds-per-update averaged over the run's patterns; the gate holds
+# the median per-pair on/off ratio to the 3% budget the collector design
+# promises. Pairing cancels the drift of a shared host across the leg.
+# On a shared 4-CPU box single pairs still read from -12% to +16%, and
+# the median of 8 pairs from -3% to +7%; the median of 32 stayed within
+# -2.4% to +1.3% over six replays.
+OBS_PAIRS=32
+echo "=== bench_service metrics-overhead gate ($OBS_PAIRS on/off pairs) ==="
+for pair in $(seq 1 "$OBS_PAIRS"); do
+  if [ $((pair % 2)) -eq 1 ]; then order="on off"; else order="off on"; fi
+  for mode in $order; do
     "$BUILD_DIR/bench/bench_service" \
       --rows 4096 --cols 16 --d 4 --updates 8 --duration-ms 300 \
       --workers 2 --producers 2 --burst 8 --metrics "$mode" \
-      --json "$tmp/obs_${mode}_${rep}.json" > "$tmp/obs_${mode}_${rep}.txt"
+      --json "$tmp/obs_${mode}_${pair}.json" > "$tmp/obs_${mode}_${pair}.txt"
   done
 done
-python3 - "$tmp" <<'PY'
-import json, sys
-tmp = sys.argv[1]
+python3 - "$tmp" "$OBS_PAIRS" <<'PY'
+import json, statistics, sys
+tmp, pairs = sys.argv[1], int(sys.argv[2])
 
 def rep_score(path):
     doc = json.load(open(path))
@@ -175,23 +181,26 @@ def rep_score(path):
         raise SystemExit(f"metrics-overhead gate: no ingest samples in {path}")
     return sum(secs) / len(secs)
 
-best = {m: min(rep_score(f"{tmp}/obs_{m}_{r}.json") for r in (1, 2, 3))
-        for m in ("on", "off")}
-overhead = best["on"] / best["off"] - 1.0
-print(f"metrics-overhead gate: on={best['on']:.3e}s/upd "
-      f"off={best['off']:.3e}s/upd overhead={overhead * 100:+.2f}%")
-if best["on"] > best["off"] * 1.03:
-    raise SystemExit("metrics-overhead gate FAILED: "
-                     "metrics-on more than 3% slower than metrics-off")
+ratios = [rep_score(f"{tmp}/obs_on_{p}.json") /
+          rep_score(f"{tmp}/obs_off_{p}.json") for p in range(1, pairs + 1)]
+overhead = statistics.median(ratios) - 1.0
+print("metrics-overhead gate: per-pair on/off "
+      + " ".join(f"{r:.3f}" for r in ratios)
+      + f"; median overhead={overhead * 100:+.2f}%")
+if overhead > 0.03:
+    raise SystemExit("metrics-overhead gate FAILED: median metrics-on run "
+                     "more than 3% slower than its metrics-off pair")
 PY
 
 merge_benches "$OUT" "$tmp/streaming.json" "$tmp/fig6.json"
 merge_benches "$SERVICE_OUT" "$tmp/service.json"
 merge_benches "$HYBRID_OUT" "$tmp/hybrid.json"
 merge_benches "$DAEMON_OUT" "$tmp/daemon.json"
-merge_benches "$OBS_OUT" \
-  "$tmp/obs_on_1.json" "$tmp/obs_on_2.json" "$tmp/obs_on_3.json" \
-  "$tmp/obs_off_1.json" "$tmp/obs_off_2.json" "$tmp/obs_off_3.json"
+obs_docs=()
+for pair in $(seq 1 "$OBS_PAIRS"); do
+  obs_docs+=("$tmp/obs_on_${pair}.json" "$tmp/obs_off_${pair}.json")
+done
+merge_benches "$OBS_OUT" "${obs_docs[@]}"
 merge_benches "$DENSE_OUT" "$tmp/dense.json"
 
 # The merge is string concatenation; make sure the results actually parse.
@@ -200,7 +209,7 @@ if command -v jq > /dev/null 2>&1; then
   jq -e '.benches | length == 1' "$SERVICE_OUT" > /dev/null
   jq -e '.benches | length == 1' "$HYBRID_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DAEMON_OUT" > /dev/null
-  jq -e '.benches | length == 6' "$OBS_OUT" > /dev/null
+  jq -e ".benches | length == $((2 * OBS_PAIRS))" "$OBS_OUT" > /dev/null
   jq -e '.benches | length == 1' "$DENSE_OUT" > /dev/null
 elif command -v python3 > /dev/null 2>&1; then
   for doc in "$OUT" "$SERVICE_OUT" "$HYBRID_OUT" "$DAEMON_OUT" \

@@ -38,13 +38,28 @@
 
 namespace spkadd::core {
 
-/// Multiplicative masking hash of the paper: h = (a * r) & (2^q - 1) with a
-/// prime multiplier (Knuth's 2654435761). `mask` must be 2^q - 1.
+/// Slot of row `r` in a table of 2^q slots, `mask` = 2^q - 1: Knuth's
+/// multiplicative method (TAOCP Vol. 3 §6.4), the top q bits of the 64-bit
+/// product r * floor(2^64 / phi). Every hash table in the library (the
+/// Hash and SlidingHash kernels, ResidentSum, local SpGEMM, the Table V
+/// trace) indexes through here.
+///
+/// The paper's masking form (a * r) & mask keeps the product's *low* q
+/// bits, and for an odd multiplier those depend only on the low q bits of
+/// r: rows that share their low bits (R-MAT rows, strided rows) land in
+/// one probe run. The high bits mix in every bit of r.
+///
+/// q comes from countr_zero, not popcount: without -march the latter is a
+/// software sequence in the probe loop. Rotating the top q bits down and
+/// masking them is the same slot as the product >> (64 - q), one
+/// instruction shorter, and defined for a 1-slot table (q = 0, the
+/// resident sum's "no table"), where a shift by 64 would not be.
 template <class IndexT>
 [[nodiscard]] inline std::size_t hash_index(IndexT r, std::size_t mask) {
-  return (static_cast<std::size_t>(static_cast<std::uint64_t>(r) *
-                                   2654435761ULL)) &
-         mask;
+  const int q = std::countr_zero(static_cast<std::uint64_t>(mask) + 1);
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(r) * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>(std::rotl(h, q)) & mask;
 }
 
 // ---------------------------------------------------------------------------

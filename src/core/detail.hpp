@@ -145,9 +145,12 @@ std::uint64_t column_input_nnz(std::span<Element> inputs, const Options& opts,
   return column_input_nnz(inputs, opts, &costs);
 }
 
-/// Greedily cut [0, n) into chunks of roughly equal summed cost, about
-/// 8 chunks per thread so the dynamic chunk queue can still rebalance
-/// stragglers. Zero-cost tails collapse into the final chunk.
+/// Greedily cut [0, n) into chunks of about total / (8 * nthreads) cost,
+/// about 8 chunks per thread so the dynamic chunk queue can still
+/// rebalance stragglers. A column that would push a chunk past that share
+/// starts the next chunk, so no chunk costs more than the share or its
+/// one column: a hub column never drags its light neighbours along.
+/// Zero-cost tails collapse into the final chunk.
 template <class IndexT>
 void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
                     std::vector<std::pair<IndexT, IndexT>>& chunks) {
@@ -162,7 +165,13 @@ void balance_chunks(std::span<const std::uint64_t> costs, int nthreads,
   IndexT begin = 0;
   std::uint64_t acc = 0;
   for (IndexT j = 0; j < n; ++j) {
-    acc += costs[static_cast<std::size_t>(j)];
+    const std::uint64_t c = costs[static_cast<std::size_t>(j)];
+    if (acc != 0 && acc + c > per) {
+      chunks.push_back({begin, j});
+      begin = j;
+      acc = 0;
+    }
+    acc += c;
     if (acc >= per) {
       chunks.push_back({begin, static_cast<IndexT>(j + 1)});
       begin = static_cast<IndexT>(j + 1);

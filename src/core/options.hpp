@@ -32,13 +32,13 @@ enum class Method {
 /// method_from_name(method_name(m)) == m for every Method.
 [[nodiscard]] Method method_from_name(const std::string& name);
 
-/// Loop schedule for the column-parallel outer loop. The paper uses dynamic
-/// scheduling keyed on per-column nnz to balance skewed (RMAT) workloads;
-/// Static is kept for the ablation bench. NnzBalanced pre-partitions the
-/// columns into cost-balanced chunks from the per-column input-nnz totals
-/// (computed once, in parallel, and shared with the Auto prescan and the
-/// symbolic phase) so skewed columns no longer serialize behind a fixed
-/// chunk width.
+/// Loop schedule for the column-parallel outer loop. NnzBalanced, the
+/// default, cuts the columns into cost-balanced chunks (about 8 per
+/// thread) from the per-column input-nnz totals that the Auto prescan
+/// computes on every column-kernel call anyway, so a hub of skewed (RMAT)
+/// columns no longer serializes behind a fixed chunk width. Dynamic, the
+/// paper's schedule (fixed 8-column chunks drained dynamically), and Static
+/// stay selectable as baselines for the ablation bench.
 enum class Schedule { Dynamic, Static, NnzBalanced };
 
 [[nodiscard]] std::string schedule_name(Schedule s);
@@ -130,7 +130,7 @@ struct Options {
   /// of Fig. 4). 0 = derive from llc_bytes / threads as in Alg. 7/8.
   std::size_t max_table_entries = 0;
 
-  Schedule schedule = Schedule::Dynamic;
+  Schedule schedule = Schedule::NnzBalanced;
 
   /// When non-null, kernels count their operations here (not thread-safe to
   /// share across concurrent spkadd() calls; one counter per call).

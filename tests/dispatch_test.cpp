@@ -1,6 +1,8 @@
 // Unified spkadd() dispatch, the Auto policy and Options plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "core/spkadd.hpp"
@@ -8,6 +10,7 @@
 #include "matrix/validate.hpp"
 #include "test_helpers.hpp"
 #include "util/cache_info.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -163,6 +166,70 @@ TEST(Dispatch, VectorOverloadMatchesSpanOverload) {
   const auto inputs = random_collection(4, 64, 8, 100, 11);
   EXPECT_TRUE(core::spkadd(inputs) ==
               core::spkadd(std::span<const Csc>(inputs), Options{}));
+}
+
+/// Cut `costs` with default Options at `threads` threads and check the
+/// chunks tile [0, n) and none costs more than the thread share
+/// ceil(total / threads) or its own heaviest column.
+void expect_capped_chunks(const std::vector<std::uint64_t>& costs,
+                          int threads) {
+  Options opts;
+  opts.threads = threads;
+  const auto n = static_cast<std::int32_t>(costs.size());
+  HybridPlan<std::int32_t> plan;
+  plan_single(ColumnKernel::Hash, n, std::span<const std::uint64_t>(costs),
+              opts, plan);
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : costs) total += c;
+  const auto t = static_cast<std::uint64_t>(threads);
+  const std::uint64_t share = (total + t - 1) / t;
+  std::int32_t next = 0;
+  for (const auto& [c0, c1] : plan.chunks) {
+    ASSERT_EQ(c0, next);
+    ASSERT_LT(c0, c1);
+    next = c1;
+    std::uint64_t sum = 0, heaviest = 0;
+    for (std::int32_t j = c0; j < c1; ++j) {
+      sum += costs[static_cast<std::size_t>(j)];
+      heaviest = std::max(heaviest, costs[static_cast<std::size_t>(j)]);
+    }
+    EXPECT_LE(sum, std::max(heaviest, share))
+        << "chunk [" << c0 << ", " << c1 << ") at " << threads << " threads";
+  }
+  EXPECT_EQ(next, n);
+}
+
+// The default schedule is the cost-balanced one. On an oneshot-rmat-like
+// group (64 columns; one 8-column window holds 43% of the cost, with
+// per-window shares 0.43/0.14/0.14/0.04/0.14/0.05/0.04/0.01 and each
+// window's cost halving column by column) no chunk exceeds a thread's
+// share unless one column alone does.
+TEST(Schedule, DefaultCutsHubWindowIntoCappedChunks) {
+  EXPECT_EQ(Options{}.schedule, Schedule::NnzBalanced);
+  const double share[8] = {0.43, 0.14, 0.14, 0.04, 0.14, 0.05, 0.04, 0.01};
+  std::vector<std::uint64_t> costs;
+  for (const double s : share)
+    for (int i = 0; i < 8; ++i)
+      costs.push_back(static_cast<std::uint64_t>(
+          1e6 * s * std::ldexp(1.0, -(i + 1)) / (1.0 - std::ldexp(1.0, -8))));
+  for (const int threads : {1, 2, 3, 4, 8})
+    expect_capped_chunks(costs, threads);
+}
+
+// A hub column that arrives while a chunk already holds light columns
+// starts a chunk of its own instead of adding their cost to its own.
+TEST(Schedule, HubColumnNeverCarriesLightNeighbours) {
+  std::vector<std::uint64_t> costs(1000, 1);
+  costs[10] = 200;
+  for (const int threads : {1, 2, 3, 4, 8})
+    expect_capped_chunks(costs, threads);
+  util::Xoshiro256 rng(31);
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::uint64_t> skewed(1 + rng.bounded(300));
+    for (auto& c : skewed)
+      c = rng.bounded(4) == 0 ? rng.bounded(1 << 16) : rng.bounded(64);
+    expect_capped_chunks(skewed, 1 + static_cast<int>(rng.bounded(8)));
+  }
 }
 
 }  // namespace
